@@ -3,8 +3,8 @@
 use crate::args::{Args, ReportMode, REPORT_MODE_HELP};
 use satwatch_analytics::{Enrichment, FlowFrame, ReportCtx};
 use satwatch_errant::{export as errant_export, fit_profiles, leo, Period};
-use satwatch_monitor::record::write_flows;
 use satwatch_monitor::DnsRecord;
+use satwatch_scenario::logs::{read_logs, write_logs, LOG_FILES};
 use satwatch_scenario::{experiments, run, Dataset, ScenarioConfig};
 use satwatch_traffic::Country;
 use std::error::Error;
@@ -298,7 +298,7 @@ fn campaign(args: &Args) -> Result<(), Box<dyn Error>> {
 
 fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
-    let out_dir = args.get("out").unwrap_or("satwatch-logs");
+    let out_dir = Path::new(args.get("out").unwrap_or("satwatch-logs"));
     let ds = match args.get("pcap") {
         Some(path) => {
             use satwatch_monitor::pcap::PcapWriter;
@@ -311,46 +311,28 @@ fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
             let file = std::io::BufWriter::new(fs::File::create(path)?);
             let mut writer = PcapWriter::new(file, snaplen)?;
             eprintln!("capturing span traffic to {path} (snaplen {snaplen}) …");
+            // the first write error stops the capture; the run itself
+            // finishes, but the command fails
+            let mut failed = None;
             let ds = satwatch_scenario::run_with_tap(cfg, |t, pkt| {
-                let _ = writer.write(t, pkt);
+                if failed.is_none() {
+                    failed = writer.write(t, pkt).err();
+                }
             });
-            eprintln!("pcap: {} packets", writer.packets_written());
+            let packets = writer.packets_written();
+            let flushed = match failed {
+                Some(e) => Err(e),
+                None => writer.into_inner().flush(),
+            };
+            flushed.map_err(|e| format!("{path}: {e}"))?;
+            eprintln!("pcap: {packets} packets");
             ds
         }
         None => run_with_banner(cfg),
     };
-    fs::create_dir_all(out_dir)?;
-    let flow_path = Path::new(out_dir).join("flows.tsv");
-    let mut f = fs::File::create(&flow_path)?;
-    write_flows(&mut f, &ds.flows)?;
-    // DNS log: simple TSV
-    let dns_path = Path::new(out_dir).join("dns.tsv");
-    let mut d = fs::File::create(&dns_path)?;
-    writeln!(d, "client\tresolver\tquery\tts_ns\tresponse_ms\tanswers")?;
-    for rec in &ds.dns {
-        writeln!(
-            d,
-            "{}\t{}\t{}\t{}\t{}\t{}",
-            rec.client,
-            rec.resolver,
-            rec.query,
-            rec.ts.as_nanos(),
-            rec.response_ms.map_or("-".into(), |v| format!("{v:.3}")),
-            rec.answers.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(","),
-        )?;
-    }
-    // enrichment map (anonymized address → country), as the operator
-    // would hand to the analysts
-    let enr_path = Path::new(out_dir).join("enrichment.tsv");
-    let mut e = fs::File::create(&enr_path)?;
-    writeln!(e, "client\tcountry\tbeam")?;
-    let mut rows: Vec<_> = ds.enrichment.country_of.iter().collect();
-    rows.sort_by_key(|(a, _)| **a);
-    for (addr, country) in rows {
-        let beam = ds.enrichment.beam_of.get(addr).copied().unwrap_or(u16::MAX);
-        writeln!(e, "{addr}\t{}\t{beam}", country.code())?;
-    }
-    eprintln!("wrote {}, {}, {}", flow_path.display(), dns_path.display(), enr_path.display());
+    write_logs(out_dir, &ds).map_err(|e| format!("{}: {e}", out_dir.display()))?;
+    let written: Vec<String> = LOG_FILES.iter().map(|f| out_dir.join(f).display().to_string()).collect();
+    eprintln!("wrote {}", written.join(", "));
     Ok(())
 }
 
@@ -578,58 +560,10 @@ fn topdomains(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 fn replay(args: &Args) -> Result<(), Box<dyn Error>> {
-    use satwatch_monitor::record::read_flows;
-    use satwatch_simcore::SimTime;
     let dir = args.get("logs").ok_or("replay needs --logs DIR (from `simulate --out DIR`)")?;
-    let d = Path::new(dir);
-    let flows = read_flows(std::io::BufReader::new(fs::File::open(d.join("flows.tsv"))?))?;
-    // DNS log
-    let mut dns = Vec::new();
-    for (i, line) in fs::read_to_string(d.join("dns.tsv"))?.lines().enumerate() {
-        if i == 0 || line.is_empty() {
-            continue;
-        }
-        let f: Vec<&str> = line.split('\t').collect();
-        if f.len() != 6 {
-            return Err(format!("dns.tsv line {}: expected 6 fields", i + 1).into());
-        }
-        dns.push(DnsRecord {
-            client: f[0].parse()?,
-            resolver: f[1].parse()?,
-            query: f[2].into(),
-            ts: SimTime::from_nanos(f[3].parse()?),
-            response_ms: if f[4] == "-" { None } else { Some(f[4].parse()?) },
-            answers: if f[5].is_empty() {
-                Vec::new()
-            } else {
-                f[5].split(',').map(|a| a.parse()).collect::<Result<_, _>>()?
-            },
-        });
-    }
-    // enrichment
-    let mut enr = Enrichment::default();
-    let mut max_day = 0u64;
-    for (i, line) in fs::read_to_string(d.join("enrichment.tsv"))?.lines().enumerate() {
-        if i == 0 || line.is_empty() {
-            continue;
-        }
-        let f: Vec<&str> = line.split('\t').collect();
-        if f.len() != 3 {
-            return Err(format!("enrichment.tsv line {}: expected 3 fields", i + 1).into());
-        }
-        let addr: std::net::Ipv4Addr = f[0].parse()?;
-        let country = Country::from_code(f[1]).ok_or_else(|| format!("unknown country {}", f[1]))?;
-        enr.country_of.insert(addr, country);
-        if let Ok(beam) = f[2].parse::<u16>() {
-            enr.beam_of.insert(addr, beam);
-        }
-    }
-    for f in &flows {
-        max_day = max_day.max(f.first.day());
-    }
-    enr.days = max_day + 1;
-    // beams are not persisted; Fig 8b is unavailable on replay
-    let ds = Dataset { flows, dns, enrichment: enr, packets: 0 };
+    // the logs keep each client's beam but not the per-beam series, so
+    // Fig 8b is unavailable on replay (see `satwatch_scenario::logs`)
+    let ds = read_logs(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
     eprintln!("replaying {} flows / {} DNS transactions from {dir}", ds.flows.len(), ds.dns.len());
     let which = args.get("figure").unwrap_or("all").to_ascii_lowercase();
     if which == "all" || which == "table1" {

@@ -8,6 +8,7 @@
 //! domain). One [`DnsRecord`] per observed DNS transaction.
 
 pub use crate::intern::Domain;
+use crate::intern::DomainInterner;
 use satwatch_simcore::stats::Running;
 use satwatch_simcore::SimTime;
 use std::io::{self, BufRead, Write};
@@ -243,72 +244,114 @@ pub fn write_flow_row<W: Write>(w: &mut W, f: &FlowRecord) -> io::Result<()> {
     )
 }
 
-/// Read flow records back from TSV. Early-packet timing is not
-/// serialised (Tstat's default logs omit it too); the field comes
-/// back empty.
-pub fn read_flows<R: BufRead>(r: R) -> io::Result<Vec<FlowRecord>> {
-    let mut out = Vec::new();
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
-        if lineno == 0 {
-            if line != FLOW_HEADER {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "bad flow log header"));
+/// Drive `row` over every data line of a TSV log with an `N`-column
+/// `header`: checks the header line, skips blank lines, and splits
+/// each row into exactly `N` fields. Every failure is an error that
+/// names the 1-based line: a bad header, a wrong field count, invalid
+/// UTF-8 and the `Err(what)` `row` returns for a field it cannot
+/// parse are `InvalidData`; a failing reader keeps its own kind. One
+/// reused line buffer; no per-row allocation.
+pub fn read_tsv<R: BufRead, const N: usize>(
+    mut r: R,
+    header: &str,
+    mut row: impl FnMut([&str; N]) -> Result<(), String>,
+) -> io::Result<()> {
+    let invalid =
+        |lineno: usize, msg: String| io::Error::new(io::ErrorKind::InvalidData, format!("line {lineno}: {msg}"));
+    let mut line = String::new();
+    let mut lineno = 0;
+    loop {
+        line.clear();
+        lineno += 1;
+        let n = r.read_line(&mut line).map_err(|e| io::Error::new(e.kind(), format!("line {lineno}: {e}")))?;
+        if n == 0 {
+            if lineno == 1 {
+                return Err(invalid(lineno, "missing header".into()));
+            }
+            return Ok(());
+        }
+        let text = line.strip_suffix('\n').map_or(&line[..], |l| l.strip_suffix('\r').unwrap_or(l));
+        if lineno == 1 {
+            if text != header {
+                return Err(invalid(lineno, "bad header".into()));
             }
             continue;
         }
-        if line.is_empty() {
+        if text.is_empty() {
             continue;
         }
-        let f: Vec<&str> = line.split('\t').collect();
-        if f.len() != 28 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("line {lineno}: expected 28 fields, got {}", f.len()),
-            ));
+        let mut fields = [""; N];
+        let mut got = 0;
+        for field in text.split('\t') {
+            if got < N {
+                fields[got] = field;
+            }
+            got += 1;
         }
-        let parse_err = |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("line {lineno}: bad {what}"));
+        if got != N {
+            return Err(invalid(lineno, format!("expected {N} fields, got {got}")));
+        }
+        row(fields).map_err(|what| invalid(lineno, what))?;
+    }
+}
+
+/// Parse one TSV field, naming it in the error.
+pub fn field<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("bad {what} {s:?}"))
+}
+
+/// Parse a field where `-` means absent.
+pub fn opt_field<T: std::str::FromStr>(s: &str, what: &str) -> Result<Option<T>, String> {
+    if s == "-" {
+        Ok(None)
+    } else {
+        field(s, what).map(Some)
+    }
+}
+
+/// Read flow records back from TSV. Early-packet timing is not
+/// serialised (Tstat's default logs omit it too); the field comes
+/// back empty. Domains are interned, so a replayed log shares one
+/// `Arc<str>` per name exactly as a live run's records do.
+pub fn read_flows<R: BufRead>(r: R) -> io::Result<Vec<FlowRecord>> {
+    let mut out = Vec::new();
+    let mut domains = DomainInterner::new();
+    read_tsv(r, FLOW_HEADER, |f: [&str; 28]| {
         out.push(FlowRecord {
-            client: f[0].parse().map_err(|_| parse_err("client"))?,
-            server: f[1].parse().map_err(|_| parse_err("server"))?,
-            client_port: f[2].parse().map_err(|_| parse_err("cport"))?,
-            server_port: f[3].parse().map_err(|_| parse_err("sport"))?,
-            ip_proto: f[4].parse().map_err(|_| parse_err("proto"))?,
-            first: SimTime::from_nanos(f[5].parse().map_err(|_| parse_err("first"))?),
-            last: SimTime::from_nanos(f[6].parse().map_err(|_| parse_err("last"))?),
-            c2s_packets: f[7].parse().map_err(|_| parse_err("c2s_pkts"))?,
-            c2s_bytes: f[8].parse().map_err(|_| parse_err("c2s_bytes"))?,
-            c2s_payload_bytes: f[9].parse().map_err(|_| parse_err("c2s_payload"))?,
-            s2c_packets: f[10].parse().map_err(|_| parse_err("s2c_pkts"))?,
-            s2c_bytes: f[11].parse().map_err(|_| parse_err("s2c_bytes"))?,
-            s2c_payload_bytes: f[12].parse().map_err(|_| parse_err("s2c_payload"))?,
-            c2s_retrans: f[13].parse().map_err(|_| parse_err("c2s_rtx"))?,
-            s2c_retrans: f[14].parse().map_err(|_| parse_err("s2c_rtx"))?,
+            client: field(f[0], "client")?,
+            server: field(f[1], "server")?,
+            client_port: field(f[2], "cport")?,
+            server_port: field(f[3], "sport")?,
+            ip_proto: field(f[4], "proto")?,
+            first: SimTime::from_nanos(field(f[5], "first")?),
+            last: SimTime::from_nanos(field(f[6], "last")?),
+            c2s_packets: field(f[7], "c2s_pkts")?,
+            c2s_bytes: field(f[8], "c2s_bytes")?,
+            c2s_payload_bytes: field(f[9], "c2s_payload")?,
+            s2c_packets: field(f[10], "s2c_pkts")?,
+            s2c_bytes: field(f[11], "s2c_bytes")?,
+            s2c_payload_bytes: field(f[12], "s2c_payload")?,
+            c2s_retrans: field(f[13], "c2s_rtx")?,
+            s2c_retrans: field(f[14], "s2c_rtx")?,
             early: Vec::new(),
             syn_seen: f[15] == "1",
             fin_seen: f[16] == "1",
             rst_seen: f[17] == "1",
             ground_rtt: RttSummary {
-                samples: f[18].parse().map_err(|_| parse_err("rtt_n"))?,
-                min_ms: f[19].parse().map_err(|_| parse_err("rtt_min"))?,
-                avg_ms: f[20].parse().map_err(|_| parse_err("rtt_avg"))?,
-                max_ms: f[21].parse().map_err(|_| parse_err("rtt_max"))?,
-                std_ms: f[22].parse().map_err(|_| parse_err("rtt_std"))?,
+                samples: field(f[18], "rtt_n")?,
+                min_ms: field(f[19], "rtt_min")?,
+                avg_ms: field(f[20], "rtt_avg")?,
+                max_ms: field(f[21], "rtt_max")?,
+                std_ms: field(f[22], "rtt_std")?,
             },
-            s2c_data_first: if f[23] == "-" {
-                None
-            } else {
-                Some(SimTime::from_nanos(f[23].parse().map_err(|_| parse_err("data_first"))?))
-            },
-            s2c_data_last: if f[24] == "-" {
-                None
-            } else {
-                Some(SimTime::from_nanos(f[24].parse().map_err(|_| parse_err("data_last"))?))
-            },
-            sat_rtt_ms: if f[25] == "-" { None } else { Some(f[25].parse().map_err(|_| parse_err("sat_rtt"))?) },
-            l7: L7Protocol::from_label(f[26]).ok_or_else(|| parse_err("l7"))?,
-            domain: if f[27] == "-" { None } else { Some(Domain::from(f[27])) },
+            s2c_data_first: opt_field(f[23], "data_first")?.map(SimTime::from_nanos),
+            s2c_data_last: opt_field(f[24], "data_last")?.map(SimTime::from_nanos),
+            sat_rtt_ms: opt_field(f[25], "sat_rtt")?,
+            l7: L7Protocol::from_label(f[26]).ok_or_else(|| format!("bad l7 {:?}", f[26]))?,
+            domain: (f[27] != "-").then(|| domains.intern(f[27])),
         });
-    }
+        Ok(())
+    })?;
     Ok(out)
 }
 

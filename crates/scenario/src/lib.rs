@@ -10,6 +10,7 @@ pub mod config;
 pub mod digest;
 pub mod experiments;
 pub mod flowsim;
+pub mod logs;
 pub mod paper_check;
 pub mod run;
 

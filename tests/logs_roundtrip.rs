@@ -4,8 +4,12 @@
 //! capture at the ISP, analyse later on the Hadoop cluster).
 
 use satwatch::monitor::record::{read_flows, write_flows};
+use satwatch::monitor::Domain;
+use satwatch::scenario::logs::{read_logs, write_logs, FLOWS_FILE};
 use satwatch::scenario::{experiments, run, ScenarioConfig};
+use std::collections::HashMap;
 use std::io::BufReader;
+use std::sync::Arc;
 
 #[test]
 fn tsv_round_trip_preserves_analysis() {
@@ -54,6 +58,63 @@ fn tsv_round_trip_preserves_analysis() {
         assert_eq!(a.0, b.0);
         // the TSV stores RTTs with 3 decimals; medians match to ~1 µs
         assert!((a.2 - b.2).abs() < 0.01, "{} vs {}", a.2, b.2);
+    }
+}
+
+/// `v` as the logs store it: 3 decimals.
+fn at3(v: f64) -> f64 {
+    format!("{v:.3}").parse().unwrap()
+}
+
+#[test]
+fn log_directory_round_trips() {
+    let ds = run(ScenarioConfig::tiny().with_customers(30).with_seed(5));
+    let dir = std::env::temp_dir().join(format!("satwatch-logs-roundtrip-{}", std::process::id()));
+    write_logs(&dir, &ds).expect("write logs");
+
+    // the file is exactly what the in-memory writer produces
+    let mut want = Vec::new();
+    write_flows(&mut want, &ds.flows).unwrap();
+    assert!(std::fs::read(dir.join(FLOWS_FILE)).unwrap() == want, "flows.tsv differs from write_flows");
+
+    let back = read_logs(&dir).expect("read logs");
+    std::fs::remove_dir_all(&dir).ok();
+
+    // flows come back whole, minus early-packet timing, with floats at
+    // the 3 decimals the log keeps
+    assert_eq!(back.flows.len(), ds.flows.len());
+    for (orig, got) in ds.flows.iter().zip(&back.flows) {
+        let mut want = orig.clone();
+        want.early.clear();
+        let r = &mut want.ground_rtt;
+        (r.min_ms, r.avg_ms, r.max_ms, r.std_ms) = (at3(r.min_ms), at3(r.avg_ms), at3(r.max_ms), at3(r.std_ms));
+        want.sat_rtt_ms = want.sat_rtt_ms.map(at3);
+        assert_eq!(got, &want);
+    }
+    let want_dns: Vec<_> = ds
+        .dns
+        .iter()
+        .map(|d| {
+            let mut d = d.clone();
+            d.response_ms = d.response_ms.map(at3);
+            d
+        })
+        .collect();
+    assert_eq!(back.dns, want_dns);
+    assert_eq!(back.enrichment.country_of, ds.enrichment.country_of);
+    assert_eq!(back.enrichment.beam_of, ds.enrichment.beam_of);
+    assert_eq!(back.enrichment.days, ds.enrichment.days);
+
+    // one shared allocation per name, as in a live run
+    let mut seen: HashMap<&str, &Domain> = HashMap::new();
+    let names = back.flows.iter().filter_map(|f| f.domain.as_ref());
+    for d in names {
+        assert!(Arc::ptr_eq(seen.entry(&**d).or_insert(d), d), "{d} is not interned");
+    }
+    assert!(seen.len() > 10 && seen.len() * 10 < back.flows.len());
+    let mut seen: HashMap<&str, &Domain> = HashMap::new();
+    for d in back.dns.iter().map(|d| &d.query) {
+        assert!(Arc::ptr_eq(seen.entry(&**d).or_insert(d), d), "{d} is not interned");
     }
 }
 
