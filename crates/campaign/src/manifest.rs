@@ -65,10 +65,9 @@ pub struct Manifest {
 }
 
 /// Hash of the config fields that determine the output bytes. The
-/// perf knobs (`threads`, `probe_shards`, `packet_batching`,
-/// `vectorized_synthesis`) are excluded on purpose: output is
-/// bit-identical at any value, so a resume may legitimately run with
-/// different ones.
+/// perf knobs (`threads`, `probe_shards`, `packet_batching`) are
+/// excluded on purpose: output is bit-identical at any value, so a
+/// resume may legitimately run with different ones.
 pub fn config_hash(cfg: &ScenarioConfig) -> u64 {
     let semantic = format!(
         "seed={} customers={} days={} pep={} african_gs={} forced_dns={}",

@@ -77,7 +77,8 @@ commands:
                           analytics_ms is measurable (default 1)
                 --smoke   tiny single-worker workload; exercises the
                           bench path in CI without meaningful timings
-                          and diffs batched vs per-packet digests
+                          and diffs the fast path's digests against
+                          the oracle's (--no-batching)
   help        show this message
 
 scenario options (all commands):
@@ -90,12 +91,10 @@ scenario options (all commands):
   --shards N             probe shards for the span-port stream
                          (default 1 = inline probe, 0 = one per core;
                           output is bit-identical at any value)
-  --no-batching          drive the probe per packet instead of in
-                         run-granular batches (the slow reference
-                         path; output is byte-identical either way)
-  --no-vectorized-synth  plan and emit each flow one at a time instead
-                         of in batched cohorts (the scalar reference
-                         path; output is byte-identical either way)
+  --no-batching          synthesize each flow on its own and drive
+                         the probe per packet instead of in cohorts
+                         and column spans (the slow reference path;
+                         output is byte-identical either way)
   --no-pep               disable the split-TCP PEP (A3)
   --african-gs           add an African ground station (A1)
   --force-operator-dns   force the operator resolver (A2)
@@ -202,9 +201,6 @@ fn scenario_from(args: &Args) -> Result<ScenarioConfig, Box<dyn Error>> {
         .with_probe_shards(shards);
     if args.flag("no-batching") {
         cfg = cfg.with_packet_batching(false);
-    }
-    if args.flag("no-vectorized-synth") {
-        cfg = cfg.with_vectorized_synthesis(false);
     }
     if args.flag("no-pep") {
         cfg = cfg.without_pep();
@@ -797,37 +793,23 @@ fn bench(args: &Args) -> Result<(), Box<dyn Error>> {
         ));
     }
     // Smoke mode doubles as the equivalence gate: re-run the same
-    // workload through the slow reference paths and diff both digests
-    // against the vectorized runs above. A mismatch is a hot-path
+    // workload through the oracle — flows synthesized one at a time,
+    // the probe fed one packet at a time — and diff both digests
+    // against the fast-path runs above. A mismatch is a hot-path
     // ordering bug, so it fails CI loudly.
-    let mut batch_oracle = String::new();
+    let mut oracle_markers = String::new();
     if smoke {
         let resolved = satwatch_simcore::resolve_workers_or_warn(worker_counts[0], "workers");
-        // per-packet oracle: probe driven row by row, no batch drains
         let cfg = base.with_threads(resolved).with_probe_shards(resolved).with_packet_batching(false);
         let r = bench_once(mode, cfg, replicate, resolved);
         if let (Some(want), Some(got)) = (dataset_ref, r.dataset_digest) {
-            assert_eq!(want, got, "per-packet oracle changed the dataset digest");
+            assert_eq!(want, got, "the oracle changed the dataset digest");
         }
-        assert_eq!(report_ref, Some(r.report_digest), "per-packet oracle changed the report digest");
-        eprintln!("  columnar-vs-per-packet digest diff: ok");
-        // scalar-synthesis oracle: flows planned and emitted one at a
-        // time (`simulate_flow`) instead of in batched cohorts
-        let cfg = base.with_threads(resolved).with_probe_shards(resolved).with_vectorized_synthesis(false);
-        let r = bench_once(mode, cfg, replicate, resolved);
-        if let (Some(want), Some(got)) = (dataset_ref, r.dataset_digest) {
-            assert_eq!(want, got, "scalar-synthesis oracle changed the dataset digest");
-        }
-        assert_eq!(report_ref, Some(r.report_digest), "scalar-synthesis oracle changed the report digest");
-        eprintln!("  vectorized-vs-scalar-synthesis digest diff: ok");
-        // Three markers: the historical row-batched name, the columnar
-        // one, and the cohort-synthesis one CI greps now that flow
-        // planning/emission is batched too.
-        batch_oracle = concat!(
-            "\n      \"batch_oracle_check\": \"ok\",\n      \"column_oracle_check\": \"ok\",",
-            "\n      \"synth_oracle_check\": \"ok\","
-        )
-        .to_string();
+        assert_eq!(report_ref, Some(r.report_digest), "the oracle changed the report digest");
+        eprintln!("  fast-path-vs-oracle digest diff: ok");
+        // One marker per gate the oracle run closes: column spans vs
+        // per-packet probe, and cohort vs flow-at-a-time synthesis.
+        oracle_markers = "\n      \"column_oracle_check\": \"ok\",\n      \"synth_oracle_check\": \"ok\",".to_string();
     }
     // process-lifetime high-water mark: a whole-process figure for the
     // bench summary, not a per-run peak (earlier runs inflate it)
@@ -847,7 +829,7 @@ fn bench(args: &Args) -> Result<(), Box<dyn Error>> {
         concat!(
             "    {{\n      \"rev\": \"{rev}\",\n      \"change\": \"{change}\",\n",
             "      \"workload\": \"{workload}\",\n      \"report_mode\": \"{mode}\",\n",
-            "      \"replicate\": {replicate},\n      \"cores\": {cores},{batch_oracle}\n",
+            "      \"replicate\": {replicate},\n      \"cores\": {cores},{oracle_markers}\n",
             "      \"peak_rss_process_bytes\": {peak_rss},\n      \"runs\": [\n{runs}\n      ]\n    }}"
         ),
         rev = rev,
@@ -856,7 +838,7 @@ fn bench(args: &Args) -> Result<(), Box<dyn Error>> {
         mode = mode.name(),
         replicate = replicate,
         cores = cores,
-        batch_oracle = batch_oracle,
+        oracle_markers = oracle_markers,
         peak_rss = peak_rss,
         runs = format!("    {}", runs.join(",\n").replace('\n', "\n    "))
     );

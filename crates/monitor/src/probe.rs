@@ -1,6 +1,7 @@
 //! The complete passive probe: flow table + DNS transaction log +
-//! real-time CryptoPan anonymization, behind a single `observe()`
-//! entry point fed by the ground-station span port.
+//! real-time CryptoPan anonymization, fed by the ground-station span
+//! port through one fast path (`observe_cols`, columnar merge-drain
+//! spans) and one oracle (`observe`, one packet at a time).
 //!
 //! Mirrors the paper's deployment (§2.2–2.3): packets are processed in
 //! real time, customer addresses are anonymized before anything is
@@ -162,36 +163,17 @@ impl Probe {
         }
     }
 
-    /// Observe a time-sorted batch of packets (one merge-drain slice —
-    /// typically a contiguous stretch of a single flow's run).
+    /// Observe time-sorted columnar rows `[start, end)` of `cols` (one
+    /// merge-drain span — typically a contiguous stretch of a single
+    /// flow's run).
     ///
-    /// Equivalent to calling [`observe`](Self::observe) per packet: a
-    /// batch that straddles one or more periodic-sweep moments is
-    /// split at each boundary (binary search on the sorted
-    /// timestamps), so every sub-slice still takes the amortized
-    /// [`process_batch`](Self::process_batch) path and the sweep fires
-    /// at exactly the per-packet moment — after the first packet at or
-    /// past the boundary, at that packet's timestamp.
-    pub fn observe_batch(&mut self, batch: &[(SimTime, Packet)]) {
-        let mut rest = batch;
-        while !rest.is_empty() {
-            let boundary = self.last_sweep + self.cfg.sweep_interval;
-            let j = rest.partition_point(|p| p.0 < boundary);
-            if j == rest.len() {
-                self.process_batch(rest);
-                return;
-            }
-            self.process_batch(&rest[..=j]);
-            self.sweep_now(rest[j].0);
-            rest = &rest[j + 1..];
-        }
-    }
-
-    /// Observe columnar rows `[start, end)` of `cols` (one merge-drain
-    /// span). The columnar twin of
-    /// [`observe_batch`](Self::observe_batch): identical sweep-boundary
-    /// splitting, with per-row processing delegated to
-    /// [`process_cols`](Self::process_cols).
+    /// Equivalent to calling [`observe`](Self::observe) per row: a span
+    /// that straddles one or more periodic-sweep moments is split at
+    /// each boundary (binary search on the sorted timestamps), so every
+    /// sub-span still takes the amortized
+    /// [`process_cols`](Self::process_cols) path and the sweep fires at
+    /// exactly the per-packet moment — after the first row at or past
+    /// the boundary, at that row's timestamp.
     pub fn observe_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
         let mut i = start;
         while i < end {
@@ -207,10 +189,11 @@ impl Probe {
         }
     }
 
-    /// The single place packet counts are maintained, so the batch,
-    /// per-packet and wire-error paths can never disagree: one counter
-    /// bump per batch instead of a thread-local metrics lookup per
-    /// packet.
+    /// Packet counting for the per-packet and wire paths, shared so a
+    /// frame that fails to parse counts exactly like one that parses.
+    /// The columnar path counts locally instead and reaches the same
+    /// registry counter through
+    /// [`flush_span_metrics`](Self::flush_span_metrics).
     fn note_packets(&mut self, n: u64) {
         self.packets += n;
         metrics().packets.add(n);
@@ -227,39 +210,9 @@ impl Probe {
         self.drain_to_sink();
     }
 
-    /// Process a time-sorted batch *without* the periodic-sweep check
-    /// (the batch counterpart of [`process_packet`](Self::process_packet),
-    /// used by the sharded workers). The flow table walks the batch in
-    /// same-flow stretches — entry resolved once, counters accumulated
-    /// in locals — and the DNS transaction log only sees the port-53
-    /// UDP stretches. Sink draining happens once per batch; eviction
-    /// order within a batch is not observable (the [`FlowSink`]
-    /// contract already requires consumers to re-sort).
-    pub fn process_batch(&mut self, batch: &[(SimTime, Packet)]) {
-        self.note_packets(batch.len() as u64);
-        let m = metrics();
-        m.batches.inc();
-        m.batch_len.record(batch.len() as u64);
-        let mut i = 0;
-        while i < batch.len() {
-            let j = self.table.process_stretch(batch, i);
-            // Every packet in a stretch shares its flow's port pair, so
-            // one check gates the per-packet DNS inspection loop.
-            if let Transport::Udp(udp) = &batch[i].1.transport {
-                if udp.dst_port == 53 || udp.src_port == 53 {
-                    for (t, pkt) in &batch[i..j] {
-                        self.maybe_log_dns(*t, pkt);
-                    }
-                }
-            }
-            i = j;
-        }
-        self.drain_to_sink();
-    }
-
     /// Process columnar rows `[start, end)` *without* the
     /// periodic-sweep check — the columnar counterpart of
-    /// [`process_batch`](Self::process_batch), used by the sharded
+    /// [`process_packet`](Self::process_packet), used by the sharded
     /// workers and [`observe_cols`](Self::observe_cols). Rows walk the
     /// flow table in same-flow stretches with zero `Packet`
     /// materialization; only port-53 UDP stretches reach the DNS
@@ -339,7 +292,7 @@ impl Probe {
     /// Observe a packet from raw wire bytes (exercises the full parse
     /// path; used where the feeding side serialises). Counting goes
     /// through [`note_packets`](Self::note_packets) on both arms, so
-    /// the wire path agrees with batch accounting even on parse
+    /// the wire path agrees with per-packet accounting even on parse
     /// errors.
     pub fn observe_wire(&mut self, t: SimTime, wire: &[u8]) {
         match Packet::parse(wire) {
@@ -350,28 +303,6 @@ impl Probe {
                 metrics().parse_errors.inc();
             }
         }
-    }
-
-    /// Observe a time-sorted batch of wire-encoded packets. Maximal
-    /// contiguous parseable sub-batches go through
-    /// [`observe_batch`](Self::observe_batch); each unparseable frame
-    /// is counted exactly once at its position, like
-    /// [`observe_wire`](Self::observe_wire) would.
-    pub fn observe_wire_batch(&mut self, batch: &[(SimTime, Vec<u8>)]) {
-        let mut parsed: Vec<(SimTime, Packet)> = Vec::with_capacity(batch.len());
-        for (t, wire) in batch {
-            match Packet::parse(wire) {
-                Ok(pkt) => parsed.push((*t, pkt)),
-                Err(_) => {
-                    self.observe_batch(&parsed);
-                    parsed.clear();
-                    self.note_packets(1);
-                    self.parse_errors += 1;
-                    metrics().parse_errors.inc();
-                }
-            }
-        }
-        self.observe_batch(&parsed);
     }
 
     fn maybe_log_dns(&mut self, t: SimTime, pkt: &Packet) {

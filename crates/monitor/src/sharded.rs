@@ -48,9 +48,6 @@ const SHARD_QUEUE_DEPTH: usize = 4_096;
 
 enum ShardMsg {
     Packet(SimTime, Packet),
-    /// A time-sorted same-host-pair slice, processed by the worker as
-    /// one [`Probe::process_batch`] call.
-    Batch(Vec<(SimTime, Packet)>),
     /// A time-sorted same-host-pair columnar run, processed by the
     /// worker as one [`Probe::process_cols`] call. Boxed: the column
     /// struct is ~200 bytes of Vec headers and would dominate the
@@ -85,8 +82,10 @@ enum Mode {
 /// A probe whose packet stream is partitioned across worker threads.
 ///
 /// Construct with the desired shard count (`0` = one per core,
-/// `1` = inline single probe) and use exactly like [`Probe`]:
-/// `observe()` per packet in global time order, then `finish()`.
+/// `1` = inline single probe) and use exactly like [`Probe`]: feed the
+/// span port in global time order — merge-drain spans through
+/// `observe_cols()` (the fast path) or single packets through
+/// `observe()` (the oracle) — then `finish()`.
 pub struct ShardedProbe {
     mode: Mode,
     sweep_interval: SimDuration,
@@ -150,10 +149,6 @@ impl ShardedProbe {
                                     shard_packets.inc();
                                     probe.process_packet(t, &pkt);
                                 }
-                                ShardMsg::Batch(b) => {
-                                    shard_packets.add(b.len() as u64);
-                                    probe.process_batch(&b);
-                                }
                                 ShardMsg::Cols(c) => {
                                     shard_packets.add(c.len() as u64);
                                     probe.process_cols(&c, 0, c.len());
@@ -207,49 +202,14 @@ impl ShardedProbe {
         }
     }
 
-    /// Observe a time-sorted batch of packets (one merge-drain slice).
-    /// Equivalent to per-packet [`observe`](Self::observe): the slice
-    /// is routed in same-host-pair sub-batches (shard hash computed
-    /// once per pair change, one channel send per sub-batch). A batch
-    /// that straddles one or more sweep moments is split at each
-    /// boundary, so every sub-slice still takes the batch path and the
-    /// sweep broadcast lands at exactly the single-probe moment —
-    /// after the first packet at or past the boundary, at its
-    /// timestamp.
-    pub fn observe_batch(&mut self, batch: &[(SimTime, Packet)]) {
-        if batch.is_empty() {
-            return;
-        }
-        self.packets += batch.len() as u64;
-        match &mut self.mode {
-            // the inline probe keeps its own sweep clock
-            Mode::Single(probe) => probe.observe_batch(batch),
-            Mode::Threaded { senders, .. } => {
-                let mut rest = batch;
-                while !rest.is_empty() {
-                    let boundary = self.last_sweep + self.sweep_interval;
-                    let j = rest.partition_point(|p| p.0 < boundary);
-                    if j == rest.len() {
-                        dispatch_batch(senders, rest);
-                        return;
-                    }
-                    dispatch_batch(senders, &rest[..=j]);
-                    for tx in senders.iter() {
-                        tx.send(ShardMsg::Sweep(rest[j].0)).expect("probe shard alive");
-                    }
-                    self.last_sweep = rest[j].0;
-                    rest = &rest[j + 1..];
-                }
-            }
-        }
-    }
-
-    /// Observe columnar rows `[start, end)` of `cols` (one merge-drain
-    /// span). The columnar twin of
-    /// [`observe_batch`](Self::observe_batch): identical sweep-boundary
-    /// splitting and host-pair routing, with each sub-run shipped to
-    /// its shard as an extracted [`PacketColumns`] (payload blocks
-    /// shared zero-copy).
+    /// Observe time-sorted columnar rows `[start, end)` of `cols` (one
+    /// merge-drain span). Equivalent to per-packet
+    /// [`observe`](Self::observe): a span that straddles one or more
+    /// sweep moments is split at each boundary, so the sweep broadcast
+    /// lands at exactly the single-probe moment — after the first row
+    /// at or past the boundary, at its timestamp. Each sweep-free
+    /// piece is routed in same-host-pair sub-runs, one channel send
+    /// per sub-run.
     pub fn observe_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
         if start >= end {
             return;
@@ -376,33 +336,12 @@ fn shard_of(src: Ipv4Addr, dst: Ipv4Addr, shards: usize) -> usize {
     (fx_hash_one(&pair) % shards as u64) as usize
 }
 
-/// Ship a sweep-free batch to the shards in same-host-pair
-/// sub-batches: the shard hash is recomputed only when the address
-/// pair changes (a run alternates between at most a couple of pairs).
-fn dispatch_batch(senders: &[SyncSender<ShardMsg>], batch: &[(SimTime, Packet)]) {
-    let n = senders.len();
-    let mut start = 0;
-    let (mut last_src, mut last_dst) = (batch[0].1.ip.src, batch[0].1.ip.dst);
-    let mut cur_shard = shard_of(last_src, last_dst, n);
-    for (i, (_, pkt)) in batch.iter().enumerate().skip(1) {
-        let (s, d) = (pkt.ip.src, pkt.ip.dst);
-        if (s == last_src && d == last_dst) || (s == last_dst && d == last_src) {
-            continue;
-        }
-        (last_src, last_dst) = (s, d);
-        let shard = shard_of(s, d, n);
-        if shard != cur_shard {
-            senders[cur_shard].send(ShardMsg::Batch(batch[start..i].to_vec())).expect("probe shard alive");
-            start = i;
-            cur_shard = shard;
-        }
-    }
-    senders[cur_shard].send(ShardMsg::Batch(batch[start..].to_vec())).expect("probe shard alive");
-}
-
-/// [`dispatch_batch`] over columnar rows `[start, end)`: sub-runs are
-/// carved out with [`PacketColumns::extract`], which copies only the
-/// scalar columns and shares the payload blocks zero-copy.
+/// Ship sweep-free columnar rows `[start, end)` to the shards in
+/// same-host-pair sub-runs: the shard hash is recomputed only when the
+/// address pair changes (a run alternates between at most a couple of
+/// pairs). Sub-runs are carved out with [`PacketColumns::extract`],
+/// which copies only the scalar columns and shares the payload blocks
+/// zero-copy.
 fn dispatch_cols(senders: &[SyncSender<ShardMsg>], cols: &PacketColumns, start: usize, end: usize) {
     let n = senders.len();
     let mut seg = start;
@@ -429,7 +368,7 @@ mod tests {
     use super::*;
     use crate::flowtable::FlowTableConfig;
     use bytes::Bytes;
-    use satwatch_netstack::Subnet;
+    use satwatch_netstack::{Subnet, Transport};
 
     fn cfg() -> ProbeConfig {
         ProbeConfig::new(FlowTableConfig::new(Subnet::new(Ipv4Addr::new(10, 0, 0, 0), 8)))
@@ -465,7 +404,17 @@ mod tests {
                 ));
             }
         }
-        // long gap, then fresh traffic triggering idle sweeps
+        // A quiet exchange mid-gap fires a sweep that evicts nothing
+        // yet (every flow is younger than the idle timeout) ...
+        let (quiet, quiet_srv) = (Ipv4Addr::new(10, 2, 9, 1), Ipv4Addr::new(198, 18, 1, 2));
+        pkts.push((t(100_000), Packet::udp(quiet, quiet_srv, 777, 80, Bytes::from_static(&[2; 40]))));
+        pkts.push((t(100_001), Packet::udp(quiet_srv, quiet, 80, 777, Bytes::from_static(&[2; 40]))));
+        // ... then fresh traffic fires the sweep that evicts the idle
+        // flows, and one early flow's five-tuple comes back right after
+        // it: only a sweep at exactly the single-probe moment keeps the
+        // reused tuple from extending the idle flow
+        let reused = Packet::udp(Ipv4Addr::new(10, 1, 1, 1), Ipv4Addr::new(198, 18, 0, 1), 40_000, 443, Bytes::new());
+        pkts.push((t(400_005), reused));
         for i in 0..10u8 {
             let client = Ipv4Addr::new(10, 2, 0, i + 1);
             let server = Ipv4Addr::new(198, 18, 1, 1);
@@ -476,6 +425,21 @@ mod tests {
         }
         pkts.sort_by_key(|(time, _)| *time);
         pkts
+    }
+
+    /// [`stream`] as one columnar run. Every packet of the stream is
+    /// UDP; payloads are laid end to end in one shared block.
+    fn stream_columns() -> PacketColumns {
+        let mut cols = PacketColumns::default();
+        let mut block = Vec::new();
+        for (time, pkt) in stream() {
+            let Transport::Udp(udp) = &pkt.transport else { panic!("the test stream is UDP-only") };
+            let (off, len) = (block.len() as u32, pkt.payload.len() as u32);
+            cols.push_udp(time, pkt.ip.src, pkt.ip.dst, udp.src_port, udp.dst_port, off, len);
+            block.extend_from_slice(&pkt.payload);
+        }
+        cols.payload = Bytes::from(block);
+        cols
     }
 
     fn run_with_shards(shards: usize) -> (Vec<FlowRecord>, Vec<DnsRecord>) {
@@ -494,6 +458,40 @@ mod tests {
             let sharded = run_with_shards(shards);
             assert_eq!(sharded.0, baseline.0, "flows differ at {shards} shards");
             assert_eq!(sharded.1, baseline.1, "dns differs at {shards} shards");
+        }
+    }
+
+    /// Columnar spans through the sharded dispatcher must reproduce a
+    /// single per-packet probe whatever the chunking: spans of 1, 3, 7
+    /// and all rows, the longer ones straddling a sweep moment, at 1,
+    /// 2 and 4 shards.
+    #[test]
+    fn chunked_observe_cols_matches_per_packet_observe() {
+        let mut oracle = Probe::new(cfg());
+        for (time, pkt) in stream() {
+            oracle.observe(time, &pkt);
+        }
+        let packets = oracle.packets;
+        let (flows, dns) = oracle.finish();
+        let cols = stream_columns();
+        // the packets that fire the periodic sweeps
+        let sweeps = [t(100_000), t(400_000)];
+        for shards in [1usize, 2, 4] {
+            for chunk in [1usize, 3, 7, cols.len()] {
+                let ctx = format!("shards={shards} chunk={chunk}");
+                let mut probe = ShardedProbe::new(cfg(), shards);
+                let mut straddled = false;
+                for start in (0..cols.len()).step_by(chunk) {
+                    let end = (start + chunk).min(cols.len());
+                    straddled |= sweeps.iter().any(|&b| cols.ts[start] < b && b < cols.ts[end - 1]);
+                    probe.observe_cols(&cols, start, end);
+                }
+                assert!(straddled || chunk == 1, "{ctx}: no span straddles the sweep");
+                assert_eq!(probe.packets, packets, "{ctx}: packet counts differ");
+                let (got_flows, got_dns) = probe.finish();
+                assert_eq!(got_flows, flows, "{ctx}: flows differ");
+                assert_eq!(got_dns, dns, "{ctx}: dns differs");
+            }
         }
     }
 

@@ -29,16 +29,13 @@ pub struct ScenarioConfig {
     /// inline probe, `0` = one per core. Output is byte-identical at
     /// any shard count.
     pub probe_shards: usize,
-    /// Hand packets to the probe in run-granular batches (the fast
-    /// path). `false` keeps the per-packet drive loop — the test
-    /// oracle the batch path is pinned byte-identical against.
+    /// The fast path (default): plan a cohort of pending flows' RNG
+    /// draws serially, emit their packet runs RNG-free (in parallel
+    /// when `threads > 1`), and hand the probe columnar merge-drain
+    /// spans. `false` drives the oracle the fast path is pinned
+    /// byte-identical against: flows synthesized one at a time, the
+    /// probe fed one packet at a time (DESIGN.md §12, §15).
     pub packet_batching: bool,
-    /// Cohort-batched flow synthesis (the fast path): plan a cohort
-    /// of pending flows' RNG draws serially, then emit their packet
-    /// runs RNG-free (in parallel when `threads > 1`). `false` keeps
-    /// the flow-at-a-time plan+emit loop — the scalar oracle the
-    /// cohort path is pinned byte-identical against (DESIGN.md §15).
-    pub vectorized_synthesis: bool,
 }
 
 impl ScenarioConfig {
@@ -54,7 +51,6 @@ impl ScenarioConfig {
             threads: 1,
             probe_shards: 1,
             packet_batching: true,
-            vectorized_synthesis: true,
         }
     }
 
@@ -110,17 +106,10 @@ impl ScenarioConfig {
         self
     }
 
-    /// Toggle the run-granular batched packet path (`true` by
-    /// default; `false` drives the per-packet oracle).
+    /// Toggle the fast path (`true` by default; `false` drives the
+    /// flow-at-a-time, packet-at-a-time oracle).
     pub fn with_packet_batching(mut self, on: bool) -> ScenarioConfig {
         self.packet_batching = on;
-        self
-    }
-
-    /// Toggle cohort-batched flow synthesis (`true` by default;
-    /// `false` drives the flow-at-a-time scalar oracle).
-    pub fn with_vectorized_synthesis(mut self, on: bool) -> ScenarioConfig {
-        self.vectorized_synthesis = on;
         self
     }
 }
@@ -140,8 +129,7 @@ mod tests {
             .with_forced_operator_dns()
             .with_threads(4)
             .with_probe_shards(2)
-            .with_packet_batching(false)
-            .with_vectorized_synthesis(false);
+            .with_packet_batching(false);
         assert_eq!(c.seed, 1);
         assert_eq!(c.customers, 10);
         assert_eq!(c.days, 3);
@@ -151,7 +139,6 @@ mod tests {
         assert_eq!(c.threads, 4);
         assert_eq!(c.probe_shards, 2);
         assert!(!c.packet_batching);
-        assert!(!c.vectorized_synthesis);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use satwatch_satcom::link::{LinkConfig, LinkModel};
 use satwatch_satcom::mac::{Mac, MacConfig};
 use satwatch_satcom::pep::{PepConfig, PepModel};
 use satwatch_satcom::{GroundStation, SatelliteAccess};
-use satwatch_simcore::{ordered_par_map, ColMerge, RunMerge, SeedTree, SimTime};
+use satwatch_simcore::{ordered_par_map, ColMerge, SeedTree, SimTime};
 use satwatch_traffic::{build_population, catalog::standard_catalog, generate_day, Country, Population};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -28,6 +28,8 @@ struct Metrics {
     intent_gen_us: &'static satwatch_telemetry::Histogram,
     day_us: &'static satwatch_telemetry::Histogram,
     flow_synth_us: &'static satwatch_telemetry::Histogram,
+    synth_plan_us: &'static satwatch_telemetry::Histogram,
+    synth_emit_us: &'static satwatch_telemetry::Histogram,
     merge_us: &'static satwatch_telemetry::Histogram,
     probe_us: &'static satwatch_telemetry::Histogram,
     setup_us: &'static satwatch_telemetry::Histogram,
@@ -43,6 +45,8 @@ fn metrics() -> &'static Metrics {
         intent_gen_us: satwatch_telemetry::histogram("scenario_intent_gen_us"),
         day_us: satwatch_telemetry::histogram("scenario_day_us"),
         flow_synth_us: satwatch_telemetry::histogram("scenario_flow_synth_us"),
+        synth_plan_us: satwatch_telemetry::histogram("scenario_synth_plan_us"),
+        synth_emit_us: satwatch_telemetry::histogram("scenario_synth_emit_us"),
         merge_us: satwatch_telemetry::histogram("scenario_merge_us"),
         probe_us: satwatch_telemetry::histogram("scenario_probe_us"),
         setup_us: satwatch_telemetry::histogram("scenario_setup_us"),
@@ -141,11 +145,12 @@ struct DayScratch {
     /// order bit for bit — see DESIGN.md "Run-merge scheduler" — while
     /// moving no packet data and recycling every run buffer.
     merge: ColMerge<PacketColumns>,
-    /// The per-packet oracle's merge (batching off only).
-    oracle: RunMerge<Packet>,
+    /// The per-packet oracle's merge (batching off only): one
+    /// `(time, Packet)` row per packet, popped row by row.
+    oracle: ColMerge<Vec<(SimTime, Packet)>>,
     scratch: SortScratch,
-    /// Staging run for the oracle path: synthesis is columnar either
-    /// way (one synthesis path, one RNG draw order); the oracle
+    /// Staging run for the oracle path: `simulate_flow` writes columns
+    /// (the same RNG draw order as the cohort planner); the oracle
     /// materializes every row out of this scratch run.
     staging: PacketColumns,
     /// Payload bytes for each flow's packets are bump-allocated here
@@ -162,7 +167,7 @@ impl DayScratch {
     fn new() -> DayScratch {
         DayScratch {
             merge: ColMerge::new(),
-            oracle: RunMerge::new(),
+            oracle: ColMerge::new(),
             scratch: SortScratch::default(),
             staging: PacketColumns::default(),
             arena: satwatch_simcore::PayloadArena::new(),
@@ -324,13 +329,14 @@ pub fn run_streaming(cfg: ScenarioConfig) -> ColumnarDataset {
 /// The day loop: generate intents, expand flows to packets, feed the
 /// span port in global time order.
 ///
-/// With packet batching on (the default), flows synthesize straight
-/// into columnar [`PacketColumns`] runs and the probe consumes column
-/// slices — no `Packet` struct exists on the hot path unless a `tap`
-/// asks for materialized packets. With batching off, every row is
-/// materialized and driven through the original per-packet
-/// `RunMerge<Packet>` loop: the oracle the columnar path is pinned
-/// byte-identical against.
+/// With packet batching on (the default), flows are planned and
+/// emitted in cohorts straight into columnar [`PacketColumns`] runs
+/// and the probe consumes column spans — no `Packet` struct exists on
+/// the hot path unless a `tap` asks for materialized packets. With
+/// batching off, each flow is synthesized on its own by
+/// `simulate_flow`, every row is materialized, and the probe sees one
+/// packet at a time: the oracle the fast path is pinned byte-identical
+/// against.
 fn drive(cfg: ScenarioConfig, sim: &SimSetup, probe: &mut ShardedProbe, mut tap: Option<Tap<'_>>) {
     let mut scratch = DayScratch::new();
     export_beam_gauges(&sim.population);
@@ -389,11 +395,11 @@ fn drive_day(
         intents.seal();
         let horizon = SimTime::from_secs((day + 1) * satwatch_simcore::time::SECS_PER_DAY + 3_600);
         let mut flow_rng = seeds.rng_idx("flows", day);
-        if cfg.packet_batching && cfg.vectorized_synthesis {
+        if cfg.packet_batching {
             // Cohort-batched drive (DESIGN.md §15): pop a cohort of
             // consecutive pending intents, run the *planning* pass
             // serially over the shared flow RNG (same stream, same
-            // draw order per flow as the scalar loop), then expand
+            // draw order per flow as the oracle's `simulate_flow`), then expand
             // every plan to packets RNG-free — serially into recycled
             // buffers, or via `ordered_par_map` when `threads > 1`.
             // Runs are pushed in intent-pop order, so run-id
@@ -402,8 +408,10 @@ fn drive_day(
             // intervening drains to one drain per cohort pops the
             // same (time, run_id)-ordered packet sequence in fewer,
             // larger spans. The drain bound before each cohort is the
-            // cohort's first intent time − 1 ns, exactly the bound the
-            // scalar loop uses for that intent.
+            // cohort's first intent time − 1 ns: intents win time ties
+            // (DESIGN.md §8) and no packet exists strictly before
+            // t = 0. With no intent left (or the next one past the
+            // horizon) the bound is the horizon itself.
             // Serial cohorts stay small enough that a cohort's shared
             // payload block fits the arena's 1 MiB capacity hint —
             // larger cohorts pay geometric-growth memcpy per block.
@@ -460,7 +468,7 @@ fn drive_day(
                 let t_synth = timed.then(Instant::now);
                 // Planning pass: serial, in intent-pop order — the
                 // shared `flow_rng` stream is consumed exactly as the
-                // scalar loop consumes it.
+                // oracle consumes it.
                 cohort.clear();
                 delay_col.clear();
                 while cohort.len() < cohort_cap {
@@ -536,89 +544,16 @@ fn drive_day(
                 m.flow_synth_us.record(synth_ns / 1_000);
                 m.probe_us.record(probe_ns / 1_000);
                 m.merge_us.record(drain_ns.saturating_sub(probe_ns) / 1_000);
-                if std::env::var_os("SATWATCH_SYNTH_SPLIT").is_some() {
-                    eprintln!(
-                        "synth split day {day}: plan {:.1} ms, emit {:.1} ms, total {:.1} ms",
-                        plan_ns as f64 / 1e6,
-                        emit_ns as f64 / 1e6,
-                        synth_ns as f64 / 1e6
-                    );
-                }
-            }
-        } else if cfg.packet_batching {
-            // Batched drive: every iteration first drains, in whole-run
-            // column slices, all packets that must precede the next
-            // intent — intents win time ties, so the inclusive drain
-            // bound is `ti − 1 ns` (no packet exists strictly before
-            // t = 0) — then starts that flow. With no intent left (or
-            // the next one past the horizon) the bound is the horizon
-            // itself. Slice order is pinned identical to the per-packet
-            // loop below by `ColMerge::next_span_upto`'s contract.
-            let (mut synth_ns, mut drain_ns, mut probe_ns) = (0u64, 0u64, 0u64);
-            loop {
-                let ti = intents.peek_time();
-                let upto = match ti {
-                    Some(ti) if ti <= horizon => (ti != SimTime::ZERO).then(|| SimTime::from_nanos(ti.as_nanos() - 1)),
-                    _ => Some(horizon),
-                };
-                if let Some(upto) = upto {
-                    let t_drain = timed.then(Instant::now);
-                    while let Some(n) = merge.next_span_upto(upto, |cols, start, end| {
-                        if let Some(tap) = tap.as_mut() {
-                            for i in start..end {
-                                let p = cols.materialize(i);
-                                tap(cols.ts[i], &p);
-                            }
-                        }
-                        let t_probe = timed.then(Instant::now);
-                        probe.observe_cols(cols, start, end);
-                        if let Some(t0) = t_probe {
-                            probe_ns += t0.elapsed().as_nanos() as u64;
-                        }
-                        (end - start) as u64
-                    }) {
-                        m.packets.add(n);
-                    }
-                    if let Some(t0) = t_drain {
-                        drain_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                }
-                match ti {
-                    Some(ti) if ti <= horizon => {
-                        let t_synth = timed.then(Instant::now);
-                        let (t, intent) = intents.pop().expect("peeked intent vanished");
-                        debug_assert_eq!(t, ti);
-                        let customer = &population.customers[intent.customer_index];
-                        let beam = population.beam(customer.terminal.beam);
-                        m.flows.inc();
-                        let mut run = merge.take_buffer();
-                        model.simulate_flow(&intent, customer, catalog, beam, &mut flow_rng, arena, &mut run);
-                        // The builder may interleave directions out of
-                        // time order and emit pre-start timestamps the
-                        // heap used to clamp; normalise, then
-                        // stable-sort so equal-time packets keep
-                        // emission (= old sequence) order.
-                        run.clamp_and_sort(t, scratch);
-                        merge.push(run);
-                        if let Some(t0) = t_synth {
-                            synth_ns += t0.elapsed().as_nanos() as u64;
-                        }
-                    }
-                    _ => break,
-                }
-            }
-            if timed {
-                // merge time is the drain loop minus the probe's share
-                // (and minus any tap materialization, absent in bench).
-                m.flow_synth_us.record(synth_ns / 1_000);
-                m.probe_us.record(probe_ns / 1_000);
-                m.merge_us.record(drain_ns.saturating_sub(probe_ns) / 1_000);
+                m.synth_plan_us.record(plan_ns / 1_000);
+                m.synth_emit_us.record(emit_ns / 1_000);
             }
         } else {
-            // Per-packet oracle loop: the reference semantics the batch
-            // path above is tested byte-identical against. Synthesis
-            // is columnar either way; here every row is materialized
-            // into a real `Packet` before entering the merge.
+            // Per-packet oracle loop: the reference semantics the cohort
+            // path above is tested byte-identical against. Each flow is
+            // synthesized alone by `simulate_flow`, every row is
+            // materialized into a real `Packet`, and the merge pops one
+            // row at a time. The clamp + stable sort is the oracle's
+            // own, independent of `PacketColumns::clamp_and_sort`.
             loop {
                 let ti = intents.peek_time();
                 let tp = oracle.peek();
@@ -654,7 +589,8 @@ fn drive_day(
                     }
                     m.packets.inc();
                     oracle
-                        .pop_with(|t, pkt| {
+                        .pop_with(|t, run, i| {
+                            let pkt = &run[i].1;
                             if let Some(tap) = tap.as_mut() {
                                 tap(t, pkt);
                             }

@@ -1,14 +1,14 @@
-//! Property tests for the batched hot paths (DESIGN.md §12/§15): for
-//! any small scenario, driving the probe with run-sized batches must
-//! be byte-equivalent to the per-packet oracle path, and planning +
-//! emitting flows in vectorized cohorts must be byte-equivalent to the
-//! scalar one-flow-at-a-time oracle — same flow records, same DNS
-//! records, same dataset digest. Both equivalences must survive probe
-//! sharding (batches additionally split at host-pair boundaries) and,
-//! for cohort synthesis, worker-thread dispatch.
+//! Property tests for the fast path (DESIGN.md §12/§15): for any small
+//! scenario, planning and emitting flows in cohorts and driving the
+//! probe with columnar merge-drain spans must be byte-equivalent to the
+//! oracle — each flow synthesized alone by `simulate_flow`, the probe
+//! fed one packet at a time — same packet count, flow records, DNS
+//! records and dataset digest. The equivalence must survive probe
+//! sharding (spans additionally split at host-pair boundaries) and
+//! worker-thread dispatch of cohort emission.
 //!
 //! Drives the proptest strategies by hand instead of through the
-//! `proptest!` macro: each case runs two day-long scenarios, so the
+//! `proptest!` macro: each case runs five day-long scenarios, so the
 //! default 64-case budget would dominate the whole suite's wall time.
 //! The case count is capped; `PROPTEST_CASES` still lowers it further.
 
@@ -25,36 +25,23 @@ fn batched_drive_matches_per_packet_oracle() {
         let seed = (0u64..1_000_000).sample(&mut rng);
         let customers = (2u32..7).sample(&mut rng);
 
-        // One per-packet oracle run per case; the columnar drive must
-        // reproduce it at BOTH shard counts — unsharded (the single
-        // in-process probe) and sharded (column slices additionally
-        // split at host-pair boundaries and shipped across channels).
+        // One oracle run per case; the fast path must reproduce it
+        // across the thread × shard grid — unsharded (the single
+        // in-process probe) and sharded (column spans split at
+        // host-pair boundaries and shipped across channels), with
+        // cohort emission serial or dispatched to workers.
         let base = ScenarioConfig::tiny().with_customers(customers).with_seed(seed);
-        let oracle = run(base.with_probe_shards(1).with_packet_batching(false));
+        let oracle = run(base.with_packet_batching(false));
         let oracle_digest = dataset_digest(&oracle);
-        for shards in [1usize, 4] {
-            let batched = run(base.with_probe_shards(shards).with_packet_batching(true));
-            let ctx = format!("case {case}: seed={seed} customers={customers} shards={shards}");
-            assert!(batched.packets > 0, "{ctx}: scenario produced no traffic");
-            assert_eq!(batched.packets, oracle.packets, "{ctx}: packet counts diverge");
-            assert_eq!(batched.flows, oracle.flows, "{ctx}: flow records diverge");
-            assert_eq!(batched.dns, oracle.dns, "{ctx}: dns records diverge");
-            assert_eq!(dataset_digest(&batched), oracle_digest, "{ctx}: dataset digests diverge");
-        }
-        // Cohort (vectorized) synthesis vs the scalar one-flow-at-a-
-        // time oracle, across the thread × shard grid: planning whole
-        // cohorts against the shared delay column and emitting them
-        // serially or via worker dispatch must reproduce the scalar
-        // `simulate_flow` composition byte for byte.
-        let scalar = run(base.with_packet_batching(true).with_vectorized_synthesis(false));
-        assert_eq!(dataset_digest(&scalar), oracle_digest, "case {case}: scalar-synthesis digest diverges");
         for threads in [1usize, 4] {
             for shards in [1usize, 4] {
-                let vec = run(base.with_threads(threads).with_probe_shards(shards).with_vectorized_synthesis(true));
+                let fast = run(base.with_threads(threads).with_probe_shards(shards));
                 let ctx = format!("case {case}: seed={seed} customers={customers} threads={threads} shards={shards}");
-                assert_eq!(vec.flows, scalar.flows, "{ctx}: vectorized flow records diverge from scalar");
-                assert_eq!(vec.dns, scalar.dns, "{ctx}: vectorized dns records diverge from scalar");
-                assert_eq!(dataset_digest(&vec), oracle_digest, "{ctx}: vectorized dataset digest diverges");
+                assert!(fast.packets > 0, "{ctx}: scenario produced no traffic");
+                assert_eq!(fast.packets, oracle.packets, "{ctx}: packet counts diverge");
+                assert_eq!(fast.flows, oracle.flows, "{ctx}: flow records diverge");
+                assert_eq!(fast.dns, oracle.dns, "{ctx}: dns records diverge");
+                assert_eq!(dataset_digest(&fast), oracle_digest, "{ctx}: dataset digests diverge");
             }
         }
     }

@@ -23,7 +23,13 @@ fn snapshot_covers_every_pipeline_layer() {
 
     // scenario phase attribution: one sample per simulated day, and
     // every phase saw at least one non-trivial span (sums are in µs).
-    for phase in ["scenario_flow_synth_us", "scenario_merge_us", "scenario_probe_us"] {
+    for phase in [
+        "scenario_flow_synth_us",
+        "scenario_synth_plan_us",
+        "scenario_synth_emit_us",
+        "scenario_merge_us",
+        "scenario_probe_us",
+    ] {
         let h = snap.histogram(phase).unwrap_or_else(|| panic!("{phase} missing from snapshot"));
         assert!(h.count > 0, "{phase} records once per day");
     }
@@ -41,10 +47,10 @@ fn snapshot_covers_every_pipeline_layer() {
     // monitor layer (probe counts packets; the sharded dispatcher adds
     // per-shard labelled series)
     assert!(counter("monitor_packets_total") >= ds.packets);
-    // run-granular hot path: the probe consumed its packets in batches.
-    // Both instruments tick together in `process_batch`, and the
-    // histogram's sum is bounded by the total packet count (the rare
-    // sweep-straddling batch replays per packet, outside the histogram).
+    // span-granular hot path: the probe consumed its packets in
+    // columnar spans. `process_cols` counts each span once in both
+    // instruments (flushed in bulk at sweeps and at `finish`), and the
+    // histogram's sum is bounded by the total packet count.
     let batches = counter("monitor_probe_batches_total");
     assert!(batches > 0, "batched drive is the default path");
     let batch_len = snap.histogram("monitor_probe_batch_len").expect("batch-length histogram registered");
