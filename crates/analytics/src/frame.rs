@@ -27,7 +27,6 @@
 //! built by [`FlowFrame::from_records`] is `flows[i]`, and a sealed
 //! streaming frame equals the batch frame over the same dataset.
 
-use crate::agg::Enrichment;
 use crate::classify::{Classifier, ClassifyCache};
 use satwatch_monitor::{Domain, FlowRecord, L7Protocol};
 use satwatch_simcore::time::SECS_PER_DAY;
@@ -35,6 +34,38 @@ use satwatch_simcore::{FxHashMap, SimTime};
 use satwatch_traffic::{Category, Country};
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
+
+/// Operator-provided enrichment: anonymized customer address →
+/// country / beam, plus static beam facts (paper §3.1: "mapping the
+/// encrypted customer subnet to the corresponding country with the
+/// support of the SatCom operator").
+#[derive(Clone, Debug, Default)]
+pub struct Enrichment {
+    pub country_of: FxHashMap<Ipv4Addr, Country>,
+    pub beam_of: FxHashMap<Ipv4Addr, u16>,
+    /// Indexed by beam id. Empty when the source (e.g. a replayed
+    /// log directory) carries no beam table.
+    pub beams: Vec<BeamInfo>,
+    /// Number of days the capture covers.
+    pub days: u64,
+}
+
+#[derive(Clone, Debug)]
+pub struct BeamInfo {
+    pub name: String,
+    pub country: Country,
+    pub peak_utilization: f64,
+}
+
+impl Enrichment {
+    pub fn country(&self, client: Ipv4Addr) -> Option<Country> {
+        self.country_of.get(&client).copied()
+    }
+
+    pub fn customers_in(&self, c: Country) -> usize {
+        self.country_of.values().filter(|&&cc| cc == c).count()
+    }
+}
 
 /// Sentinel for "no country mapping" in [`FlowFrame::country`].
 pub const NO_COUNTRY: u8 = u8::MAX;

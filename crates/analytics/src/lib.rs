@@ -7,12 +7,14 @@
 //!
 //! * [`classify`] — Table 3 classifier + second-level-domain
 //!   extraction (two-label TLD aware).
-//! * [`agg`] — aggregation builders from monitor records to reports.
-//! * [`frame`] — struct-of-arrays [`FlowFrame`] with pre-resolved
-//!   enrichment columns, buildable incrementally from an eviction
-//!   stream.
-//! * [`engine`] — every figure as a fold over the frame, plus the
-//!   fused [`report_all`] single-pass sweep.
+//! * [`frame`] — the operator [`Enrichment`] tables and the
+//!   struct-of-arrays [`FlowFrame`] with pre-resolved enrichment
+//!   columns, buildable incrementally from an eviction stream.
+//! * [`engine`] — every paper output as a fold over the frame, plus
+//!   the fused [`ReportFold`] sweep behind [`report_all`]: the one
+//!   production implementation.
+//! * [`oracle`] — the same outputs as serial folds over the flow
+//!   records, kept only to check the engine (DESIGN.md §10).
 //! * [`expr`] / [`query`] — the aggregation-pipeline DSL: JSON-parsed
 //!   `match → group → project → sort → limit` pipelines compiled
 //!   against the frame with small-int predicate pushdown and a
@@ -35,22 +37,21 @@
 //! assert_eq!(verdict, Some(("Youtube", Category::Video)));
 //! ```
 
-pub mod agg;
 pub mod ascii;
 pub mod classify;
 pub mod csv;
 pub mod engine;
 pub mod expr;
 pub mod frame;
+pub mod oracle;
 pub mod query;
 pub mod report;
 pub mod segment;
 pub mod topdomains;
 
-pub use agg::{customer_days, Enrichment};
 pub use classify::{second_level_domain, Classifier, ClassifyCache};
 pub use engine::{report_all, PaperReports, ReportCtx, ReportFold};
-pub use frame::{FlowFrame, FrameBuilder};
+pub use frame::{BeamInfo, Enrichment, FlowFrame, FrameBuilder};
 pub use query::{Pipeline, QueryStats, ResultTable};
 pub use segment::{decode_segment, encode_segment, SegmentError, SegmentMeta};
 pub use topdomains::{top_domains, TopDomains};

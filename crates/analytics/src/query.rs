@@ -24,8 +24,8 @@
 //! pipelines and the test suite pins them byte-for-byte against the
 //! engine output, proving the DSL subsumes them.
 
-use crate::agg::Enrichment;
 use crate::expr::{bind, compile_match, truthy, BoundExpr, ColSlot, Expr, Json, QueryError, RowCtx, Value};
+use crate::frame::Enrichment;
 use crate::frame::FlowFrame;
 use crate::report::{Fig2, Fig3, Fig4, Table1};
 use satwatch_monitor::L7Protocol;

@@ -396,7 +396,7 @@ pub fn read_segment_file(path: &Path, expect_fnv: Option<u64>) -> Result<FlowFra
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::Enrichment;
+    use crate::frame::Enrichment;
     use crate::frame::FrameBuilder;
     use satwatch_monitor::record::RttSummary;
     use satwatch_monitor::{FlowRecord, L7Protocol};

@@ -1,15 +1,16 @@
-//! Property tests: frame folds equal record passes on arbitrary small
-//! flow sets, and stream-order ingestion seals into the batch frame.
+//! Property tests: frame folds equal the record oracle on arbitrary
+//! small flow sets, and stream-order ingestion seals into the batch
+//! frame.
 
 use proptest::prelude::*;
-use satwatch_analytics::agg::{self, Enrichment};
 use satwatch_analytics::engine::{
     fig11_frame, fig2_frame, fig8a_frame, fig9_frame, table1_frame, table_cdn_frame, ReportCtx,
 };
 use satwatch_analytics::frame::FrameBuilder;
-use satwatch_analytics::{Classifier, FlowFrame};
+use satwatch_analytics::{oracle, report_all, BeamInfo, Classifier, Enrichment, FlowFrame};
+use satwatch_internet::ResolverId;
 use satwatch_monitor::record::RttSummary;
-use satwatch_monitor::{flow_sort_key, FlowRecord, L7Protocol};
+use satwatch_monitor::{flow_sort_key, DnsRecord, FlowRecord, L7Protocol};
 use satwatch_simcore::{SimDuration, SimTime};
 use satwatch_traffic::Country;
 use std::net::Ipv4Addr;
@@ -96,13 +97,48 @@ fn enrichment() -> Enrichment {
     e.beam_of.insert(Ipv4Addr::new(77, 0, 0, 1), 0);
     e.beam_of.insert(Ipv4Addr::new(77, 0, 0, 2), 1);
     e.beams = vec![
-        agg::BeamInfo { name: "cd-0".into(), country: Country::Congo, peak_utilization: 0.8 },
-        agg::BeamInfo { name: "es-0".into(), country: Country::Spain, peak_utilization: 0.5 },
+        BeamInfo { name: "cd-0".into(), country: Country::Congo, peak_utilization: 0.8 },
+        BeamInfo { name: "es-0".into(), country: Country::Spain, peak_utilization: 0.5 },
     ];
     e
 }
 
+/// Lookups of the flows' domains by clients 0..4 over two days, through
+/// a resolver mix that includes one Fig 10 folds into "Other".
+fn dns_log(n: usize) -> Vec<DnsRecord> {
+    let resolvers = [ResolverId::Google, ResolverId::OperatorEu, ResolverId::Dns114, ResolverId::Yandex];
+    (0..n)
+        .map(|i| DnsRecord {
+            client: Ipv4Addr::new(77, 0, 0, (i % 4) as u8),
+            resolver: resolvers[i % resolvers.len()].address(),
+            query: DOMAINS[1 + i % 3].unwrap().into(),
+            ts: SimTime::from_secs((i as u64 * 7_919) % (86_400 * 2)),
+            response_ms: (i % 5 != 0).then_some(5.0 + (i % 37) as f64),
+            answers: vec![],
+        })
+        .collect()
+}
+
 proptest! {
+    #[test]
+    fn every_output_matches_the_record_oracle(
+        specs in proptest::collection::vec(spec_strategy(), 0..120),
+        n_dns in 0usize..200,
+        workers in 1usize..5,
+    ) {
+        let mut flows: Vec<FlowRecord> = specs.iter().map(build).collect();
+        flows.sort_by_key(flow_sort_key);
+        let dns = dns_log(n_dns);
+        let enr = enrichment();
+        let fr = FlowFrame::from_records(&flows, &enr);
+        let top = [Country::Congo, Country::Spain, Country::Nigeria];
+        let ctx = ReportCtx { enrichment: &enr, countries: &top };
+        let services = ["Tiktok", "Google", "Youtube"];
+        let want = oracle::paper_reports(&flows, &dns, ctx, &services, 1);
+        let got = report_all(&fr, &dns, ctx, &services, 1, workers);
+        prop_assert_eq!(format!("{:?}", want), format!("{:?}", got));
+    }
+
     #[test]
     fn frame_folds_match_record_passes(specs in proptest::collection::vec(spec_strategy(), 0..120), workers in 1usize..5) {
         let flows: Vec<FlowRecord> = specs.iter().map(build).collect();
@@ -111,32 +147,32 @@ proptest! {
         let top = [Country::Congo, Country::Spain, Country::Nigeria];
         let ctx = ReportCtx { enrichment: &enr, countries: &top };
         prop_assert_eq!(
-            format!("{:?}", agg::table1(&flows)),
+            format!("{:?}", oracle::table1(&flows)),
             format!("{:?}", table1_frame(&fr, ctx, workers))
         );
         prop_assert_eq!(
-            format!("{:?}", agg::fig2(&flows, &enr)),
+            format!("{:?}", oracle::fig2(&flows, &enr)),
             format!("{:?}", fig2_frame(&fr, ctx, workers))
         );
         prop_assert_eq!(
-            format!("{:?}", agg::fig8a(&flows, &enr, &top)),
+            format!("{:?}", oracle::fig8a(&flows, &enr, &top)),
             format!("{:?}", fig8a_frame(&fr, ctx, workers))
         );
         prop_assert_eq!(
-            format!("{:?}", agg::fig9(&flows, &enr, &top)),
+            format!("{:?}", oracle::fig9(&flows, &enr, &top)),
             format!("{:?}", fig9_frame(&fr, ctx, workers))
         );
         prop_assert_eq!(
-            format!("{:?}", agg::fig11(&flows, &enr, &top)),
+            format!("{:?}", oracle::fig11(&flows, &enr, &top)),
             format!("{:?}", fig11_frame(&fr, ctx, workers))
         );
         prop_assert_eq!(
-            format!("{:?}", agg::table_cdn_selection(&flows, &[], &enr, &top, 1)),
+            format!("{:?}", oracle::table_cdn_selection(&flows, &[], &enr, &top, 1)),
             format!("{:?}", table_cdn_frame(&fr, &[], ctx, 1, workers))
         );
         let classifier = Classifier::standard();
         prop_assert_eq!(
-            agg::customer_days(&flows, &classifier),
+            oracle::customer_days(&flows, &classifier),
             satwatch_analytics::engine::customer_days_frame(&fr, workers)
         );
     }

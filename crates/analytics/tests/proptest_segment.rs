@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use satwatch_analytics::agg::Enrichment;
+use satwatch_analytics::Enrichment;
 use satwatch_analytics::{decode_segment, encode_segment, FlowFrame, SegmentError};
 use satwatch_monitor::record::{EarlyPacket, RttSummary};
 use satwatch_monitor::{FlowRecord, L7Protocol};

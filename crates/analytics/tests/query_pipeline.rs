@@ -3,9 +3,9 @@
 //! worker count, and the four paper figures re-expressed as pipelines
 //! pinned against the hand-rolled engine folds.
 
-use satwatch_analytics::agg::{self, Enrichment};
 use satwatch_analytics::engine::{fig2_frame, fig3_frame, fig4_frame, table1_frame, ReportCtx};
 use satwatch_analytics::query::{self, paper, run_with_stats};
+use satwatch_analytics::{BeamInfo, Enrichment};
 use satwatch_analytics::{FlowFrame, Pipeline};
 use satwatch_monitor::record::RttSummary;
 use satwatch_monitor::{FlowRecord, L7Protocol};
@@ -22,8 +22,8 @@ fn enrichment() -> Enrichment {
     e.beam_of.insert(Ipv4Addr::new(77, 0, 0, 1), 0);
     e.beam_of.insert(Ipv4Addr::new(77, 0, 0, 2), 1);
     e.beams = vec![
-        agg::BeamInfo { name: "cd-0".into(), country: Country::Congo, peak_utilization: 0.8 },
-        agg::BeamInfo { name: "es-0".into(), country: Country::Spain, peak_utilization: 0.5 },
+        BeamInfo { name: "cd-0".into(), country: Country::Congo, peak_utilization: 0.8 },
+        BeamInfo { name: "es-0".into(), country: Country::Spain, peak_utilization: 0.5 },
     ];
     e
 }

@@ -4,10 +4,10 @@
 //! worker count.
 
 use proptest::prelude::*;
-use satwatch_analytics::agg::{self, Enrichment};
 use satwatch_analytics::expr::{bind_frame, compile_match, ArithOp, CmpOp, Expr, Value};
 use satwatch_analytics::query::{match_rows, match_rows_naive};
 use satwatch_analytics::FlowFrame;
+use satwatch_analytics::{BeamInfo, Enrichment};
 use satwatch_monitor::record::RttSummary;
 use satwatch_monitor::{FlowRecord, L7Protocol};
 use satwatch_simcore::{SimDuration, SimTime};
@@ -88,8 +88,8 @@ fn enrichment() -> Enrichment {
     e.beam_of.insert(Ipv4Addr::new(77, 0, 0, 1), 0);
     e.beam_of.insert(Ipv4Addr::new(77, 0, 0, 2), 1);
     e.beams = vec![
-        agg::BeamInfo { name: "cd-0".into(), country: Country::Congo, peak_utilization: 0.8 },
-        agg::BeamInfo { name: "es-0".into(), country: Country::Spain, peak_utilization: 0.5 },
+        BeamInfo { name: "cd-0".into(), country: Country::Congo, peak_utilization: 0.8 },
+        BeamInfo { name: "es-0".into(), country: Country::Spain, peak_utilization: 0.5 },
     ];
     e
 }

@@ -1,5 +1,5 @@
 //! Parallel-pipeline benchmarks: the deterministic multi-core stages
-//! (intent generation, sharded probe, parallel aggregations) timed at
+//! (intent generation, sharded probe, parallel frame folds) timed at
 //! 1/2/4/8 workers, plus the SipHash-vs-FxHash micro-comparison that
 //! motivated the in-tree hasher.
 //!
@@ -7,9 +7,11 @@
 //! setup), so these benches measure pure wall-time scaling.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use satwatch_analytics::agg;
+use satwatch_analytics::engine::{self, ReportCtx};
+use satwatch_analytics::FlowFrame;
 use satwatch_bench::{bench_config, standard_dataset};
 use satwatch_scenario::run;
+use satwatch_traffic::Country;
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
@@ -37,19 +39,20 @@ fn scenario_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// The parallel aggregations over the shared standard dataset.
+/// The parallel frame folds over the shared standard dataset.
 fn agg_scaling(c: &mut Criterion) {
     let ds = standard_dataset();
+    let fr = FlowFrame::from_records(&ds.flows, &ds.enrichment);
+    let ctx = ReportCtx { enrichment: &ds.enrichment, countries: &Country::TOP6 };
     let mut group = c.benchmark_group("agg");
-    group.throughput(Throughput::Elements(ds.flows.len() as u64));
+    group.throughput(Throughput::Elements(fr.len() as u64));
     for &w in WORKER_COUNTS {
-        group.bench_function(&format!("table1_workers_{w}"), |b| b.iter(|| black_box(agg::table1_par(&ds.flows, w))));
-        group.bench_function(&format!("fig2_workers_{w}"), |b| {
-            b.iter(|| black_box(agg::fig2_par(&ds.flows, &ds.enrichment, w)))
+        group.bench_function(&format!("table1_workers_{w}"), |b| {
+            b.iter(|| black_box(engine::table1_frame(&fr, ctx, w)))
         });
+        group.bench_function(&format!("fig2_workers_{w}"), |b| b.iter(|| black_box(engine::fig2_frame(&fr, ctx, w))));
         group.bench_function(&format!("customer_days_workers_{w}"), |b| {
-            let classifier = satwatch_analytics::Classifier::standard();
-            b.iter(|| black_box(agg::customer_days_par(&ds.flows, &classifier, w)))
+            b.iter(|| black_box(engine::customer_days_frame(&fr, w)))
         });
     }
     group.finish();

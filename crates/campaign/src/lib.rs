@@ -36,8 +36,8 @@ pub mod manifest;
 pub use manifest::{config_hash, DnsFileInfo, Manifest, SegmentInfo};
 
 use codec::{DnsBuckets, FlowBuckets};
-use satwatch_analytics::agg::Enrichment;
 use satwatch_analytics::segment::{read_segment_file, write_segment_file, SegmentError};
+use satwatch_analytics::Enrichment;
 use satwatch_analytics::{FlowFrame, ReportCtx, ReportFold};
 use satwatch_monitor::checkpoint::CheckpointError;
 use satwatch_monitor::record::{write_flow_row, write_flows};

@@ -41,12 +41,11 @@ impl std::error::Error for ArgError {}
 const FLAGS: &[&str] =
     &["no-pep", "african-gs", "force-operator-dns", "smoke", "help", "no-metrics", "no-batching", "print-rss"];
 
-/// How a command obtains the analytics inputs — the one shared
-/// `--report-mode` vocabulary for `report`, `bench`, and `query`.
+/// How a command builds the flow frame its analytics read — the one
+/// shared `--report-mode` vocabulary for `report`, `bench`, and
+/// `query`. Both modes produce the same frame bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ReportMode {
-    /// Record path: `Vec<FlowRecord>` + slice-based `agg` passes.
-    Records,
     /// Batch columnar: run, then build the frame from records.
     #[default]
     Columnar,
@@ -58,7 +57,6 @@ pub enum ReportMode {
 impl ReportMode {
     pub fn name(self) -> &'static str {
         match self {
-            ReportMode::Records => "records",
             ReportMode::Columnar => "columnar",
             ReportMode::Streaming => "streaming",
         }
@@ -70,17 +68,16 @@ impl std::str::FromStr for ReportMode {
 
     fn from_str(s: &str) -> Result<ReportMode, String> {
         match s {
-            "records" => Ok(ReportMode::Records),
             "columnar" => Ok(ReportMode::Columnar),
             "streaming" => Ok(ReportMode::Streaming),
-            other => Err(format!("unknown report mode: {other} (expected records|columnar|streaming)")),
+            other => Err(format!("unknown report mode: {other} (expected columnar|streaming)")),
         }
     }
 }
 
 /// The single help string for `--report-mode`, shared verbatim by
 /// every subcommand that accepts it.
-pub const REPORT_MODE_HELP: &str = "--report-mode M   analytics input: records | columnar (default) | streaming";
+pub const REPORT_MODE_HELP: &str = "--report-mode M   frame source: columnar (default) | streaming";
 
 impl Args {
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, ArgError> {
@@ -172,9 +169,11 @@ mod tests {
         assert_eq!(a.report_mode(), Ok(ReportMode::Streaming));
         let a = parse(&["report"]).unwrap();
         assert_eq!(a.report_mode(), Ok(ReportMode::Columnar));
-        let a = parse(&["report", "--report-mode", "rowwise"]).unwrap();
-        assert!(matches!(a.report_mode(), Err(ArgError::BadValue { .. })));
-        assert_eq!(ReportMode::Records.name(), "records");
+        for unknown in ["rowwise", "records"] {
+            let a = parse(&["report", "--report-mode", unknown]).unwrap();
+            assert!(matches!(a.report_mode(), Err(ArgError::BadValue { .. })), "{unknown}");
+        }
+        assert_eq!(ReportMode::Streaming.name(), "streaming");
     }
 
     #[test]

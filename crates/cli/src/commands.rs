@@ -1,7 +1,7 @@
 //! Subcommand implementations for the `satwatch` binary.
 
 use crate::args::{Args, ReportMode, REPORT_MODE_HELP};
-use satwatch_analytics::{Enrichment, FlowFrame, ReportCtx};
+use satwatch_analytics::{engine, Enrichment, FlowFrame, PaperReports, ReportCtx};
 use satwatch_errant::{export as errant_export, fit_profiles, leo, Period};
 use satwatch_monitor::DnsRecord;
 use satwatch_scenario::logs::{read_logs, write_logs, LOG_FILES};
@@ -25,14 +25,13 @@ commands:
                 --out DIR (default: satwatch-logs)
                 --pcap FILE [--snaplen N]   also write a pcap capture
   replay      re-run the analyses over logs written by `simulate`
-                --logs DIR --figure {{all|table1|…}}
+                --logs DIR --figure {{all|table1|fig2|fig9|fig10|fig11}}
   report      run a scenario and render figures/tables
                 --figure {{all|table1|fig2|...|fig11|table2}}
                 {rm}
-                             records: per-figure passes over the flow
-                             record slice; columnar: batch frame build
-                             + fused one-pass sweep; streaming: frame
-                             fed by the eviction stream, records never
+                             columnar: frame built from the finished
+                             record vector; streaming: frame fed by the
+                             eviction stream, records never
                              materialised (same bytes out either way)
                 --csv DIR    also write plot-ready CSVs
   query       run an aggregation pipeline over the flow frame
@@ -76,9 +75,10 @@ commands:
                 --replicate N  tile the dataset N× before analytics so
                           analytics_ms is measurable (default 1)
                 --smoke   tiny single-worker workload; exercises the
-                          bench path in CI without meaningful timings
-                          and diffs the fast path's digests against
-                          the oracle's (--no-batching)
+                          bench path in CI without meaningful timings,
+                          diffs the fast path's digests against the
+                          packet oracle's (--no-batching) and the
+                          report against the record oracle's
   help        show this message
 
 scenario options (all commands):
@@ -332,22 +332,14 @@ fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn report(args: &Args) -> Result<(), Box<dyn Error>> {
-    let cfg = scenario_from(args)?;
-    match args.report_mode()? {
-        ReportMode::Records => report_records(args, cfg),
-        mode => report_frame(args, cfg, mode),
-    }
-}
-
-/// Build the analytics inputs for `mode`. Records and columnar both
-/// batch-run the scenario and build the frame from the completed
-/// record vector; streaming feeds evicted flows straight into the
-/// frame and never materialises the records. All three produce the
-/// same frame bytes (pinned by `columnar_equivalence.rs`).
+/// Build the frame for `mode`. Columnar batch-runs the scenario and
+/// builds the frame from the completed record vector; streaming feeds
+/// evicted flows straight into the frame and never materialises the
+/// records. Both produce the same frame bytes (pinned by
+/// `columnar_equivalence.rs`).
 fn build_frame(cfg: ScenarioConfig, mode: ReportMode) -> (FlowFrame, Vec<DnsRecord>, Enrichment) {
     match mode {
-        ReportMode::Records | ReportMode::Columnar => {
+        ReportMode::Columnar => {
             let ds = run_with_banner(cfg);
             let fr = FlowFrame::from_records(&ds.flows, &ds.enrichment);
             (fr, ds.dns, ds.enrichment)
@@ -369,163 +361,6 @@ fn build_frame(cfg: ScenarioConfig, mode: ReportMode) -> (FlowFrame, Vec<DnsReco
             (cds.frame, cds.dns, cds.enrichment)
         }
     }
-}
-
-fn report_records(args: &Args, cfg: ScenarioConfig) -> Result<(), Box<dyn Error>> {
-    let which = args.get("figure").unwrap_or("all").to_ascii_lowercase();
-    let ds = run_with_banner(cfg);
-    let mut printed = false;
-    let mut want = |name: &str| {
-        let hit = which == "all" || which == name;
-        printed |= hit;
-        hit
-    };
-    if want("table1") {
-        println!("{}", experiments::table1(&ds).render());
-    }
-    if want("fig2") {
-        println!("{}", experiments::fig2(&ds).render());
-    }
-    if want("fig3") {
-        println!("{}", experiments::fig3(&ds).render());
-    }
-    if want("fig4") {
-        println!("{}", experiments::fig4(&ds).render());
-    }
-    if want("fig5") {
-        println!("{}", experiments::fig5(&ds).render());
-    }
-    if want("fig6") {
-        println!("{}", experiments::fig6(&ds).render());
-    }
-    if want("fig7") {
-        println!("{}", experiments::fig7(&ds).render());
-    }
-    if want("fig8a") {
-        println!("{}", experiments::fig8a(&ds).render());
-    }
-    if want("fig8b") {
-        println!("{}", experiments::fig8b(&ds).render());
-    }
-    if want("fig9") {
-        println!("{}", experiments::fig9(&ds).render());
-    }
-    if want("fig10") {
-        println!("{}", experiments::fig10(&ds).render());
-    }
-    if want("table2") {
-        println!("{}", experiments::table_cdn(&ds, 10).render());
-    }
-    if want("fig11") {
-        println!("{}", experiments::fig11(&ds).render());
-    }
-    if !printed {
-        return Err(format!("unknown figure {which:?} (try table1, fig2..fig11, table2, all)").into());
-    }
-    if let Some(dir) = args.get("csv") {
-        use satwatch_analytics::csv;
-        fs::create_dir_all(dir)?;
-        let d = Path::new(dir);
-        fs::write(d.join("table1.csv"), csv::table1_csv(&experiments::table1(&ds)))?;
-        fs::write(d.join("fig2.csv"), csv::fig2_csv(&experiments::fig2(&ds)))?;
-        fs::write(d.join("fig3.csv"), csv::fig3_csv(&experiments::fig3(&ds)))?;
-        fs::write(d.join("fig4.csv"), csv::fig4_csv(&experiments::fig4(&ds)))?;
-        fs::write(d.join("fig5.csv"), csv::fig5_csv(&experiments::fig5(&ds), 200))?;
-        fs::write(d.join("fig6.csv"), csv::fig6_csv(&experiments::fig6(&ds)))?;
-        fs::write(d.join("fig7.csv"), csv::fig7_csv(&experiments::fig7(&ds)))?;
-        fs::write(d.join("fig8a.csv"), csv::fig8a_csv(&experiments::fig8a(&ds), 200))?;
-        fs::write(d.join("fig8b.csv"), csv::fig8b_csv(&experiments::fig8b(&ds)))?;
-        fs::write(d.join("fig9.csv"), csv::fig9_csv(&experiments::fig9(&ds), 200))?;
-        fs::write(d.join("fig10.csv"), csv::fig10_csv(&experiments::fig10(&ds)))?;
-        fs::write(d.join("table2.csv"), csv::table_cdn_csv(&experiments::table_cdn(&ds, 5)))?;
-        fs::write(d.join("fig11.csv"), csv::fig11_csv(&experiments::fig11(&ds), 200))?;
-        eprintln!("wrote 13 CSV files to {dir}");
-    }
-    Ok(())
-}
-
-/// `report --report-mode {columnar|streaming}`: the same figures and
-/// tables as the records path, but every output comes from the fused
-/// single-sweep `report_all` over a [`FlowFrame`] — batch-built
-/// (columnar) or fed by the eviction stream (streaming). Output is
-/// byte-identical to the records path; the equivalence is pinned by
-/// `columnar_equivalence.rs`.
-fn report_frame(args: &Args, cfg: ScenarioConfig, mode: ReportMode) -> Result<(), Box<dyn Error>> {
-    let workers = cfg.threads.max(1);
-    let (frame, dns, enr) = build_frame(cfg, mode);
-    let reports = experiments::paper_reports_columnar(&frame, &dns, &enr, 10, workers);
-    let which = args.get("figure").unwrap_or("all").to_ascii_lowercase();
-    let mut printed = false;
-    let mut want = |name: &str| {
-        let hit = which == "all" || which == name;
-        printed |= hit;
-        hit
-    };
-    if want("table1") {
-        println!("{}", reports.table1.render());
-    }
-    if want("fig2") {
-        println!("{}", reports.fig2.render());
-    }
-    if want("fig3") {
-        println!("{}", reports.fig3.render());
-    }
-    if want("fig4") {
-        println!("{}", reports.fig4.render());
-    }
-    if want("fig5") {
-        println!("{}", reports.fig5.render());
-    }
-    if want("fig6") {
-        println!("{}", reports.fig6.render());
-    }
-    if want("fig7") {
-        println!("{}", reports.fig7.render());
-    }
-    if want("fig8a") {
-        println!("{}", reports.fig8a.render());
-    }
-    if want("fig8b") {
-        println!("{}", reports.fig8b.render());
-    }
-    if want("fig9") {
-        println!("{}", reports.fig9.render());
-    }
-    if want("fig10") {
-        println!("{}", reports.fig10.render());
-    }
-    if want("table2") {
-        println!("{}", reports.table2.render());
-    }
-    if want("fig11") {
-        println!("{}", reports.fig11.render());
-    }
-    if !printed {
-        return Err(format!("unknown figure {which:?} (try table1, fig2..fig11, table2, all)").into());
-    }
-    if let Some(dir) = args.get("csv") {
-        use satwatch_analytics::csv;
-        fs::create_dir_all(dir)?;
-        let d = Path::new(dir);
-        fs::write(d.join("table1.csv"), csv::table1_csv(&reports.table1))?;
-        fs::write(d.join("fig2.csv"), csv::fig2_csv(&reports.fig2))?;
-        fs::write(d.join("fig3.csv"), csv::fig3_csv(&reports.fig3))?;
-        fs::write(d.join("fig4.csv"), csv::fig4_csv(&reports.fig4))?;
-        fs::write(d.join("fig5.csv"), csv::fig5_csv(&reports.fig5, 200))?;
-        fs::write(d.join("fig6.csv"), csv::fig6_csv(&reports.fig6))?;
-        fs::write(d.join("fig7.csv"), csv::fig7_csv(&reports.fig7))?;
-        fs::write(d.join("fig8a.csv"), csv::fig8a_csv(&reports.fig8a, 200))?;
-        fs::write(d.join("fig8b.csv"), csv::fig8b_csv(&reports.fig8b))?;
-        fs::write(d.join("fig9.csv"), csv::fig9_csv(&reports.fig9, 200))?;
-        fs::write(d.join("fig10.csv"), csv::fig10_csv(&reports.fig10))?;
-        // the CSV export keeps the records path's lower flow floor
-        let ctx = ReportCtx { enrichment: &enr, countries: &Country::TOP6 };
-        let table2_csv = satwatch_analytics::engine::table_cdn_frame(&frame, &dns, ctx, 5, workers);
-        fs::write(d.join("table2.csv"), csv::table_cdn_csv(&table2_csv))?;
-        fs::write(d.join("fig11.csv"), csv::fig11_csv(&reports.fig11, 200))?;
-        eprintln!("wrote 13 CSV files to {dir}");
-    }
-    Ok(())
 }
 
 fn profiles(args: &Args) -> Result<(), Box<dyn Error>> {
@@ -555,27 +390,78 @@ fn topdomains(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// The outputs `--figure` selects from `names` (default `all`), in
+/// `names` order. A name outside `names` is an error that lists them.
+fn select_figures<'n>(args: &Args, names: &[&'n str]) -> Result<Vec<&'n str>, String> {
+    let which = args.get("figure").unwrap_or("all").to_ascii_lowercase();
+    if which == "all" {
+        return Ok(names.to_vec());
+    }
+    match names.iter().find(|n| **n == which) {
+        Some(name) => Ok(vec![*name]),
+        None => Err(format!("unknown figure {which:?} (try {}, all)", names.join(", "))),
+    }
+}
+
+/// `report`: every output comes from the fused single-sweep
+/// `report_all` over a [`FlowFrame`] — batch-built (columnar) or fed
+/// by the eviction stream (streaming); the bytes out are the same.
+fn report(args: &Args) -> Result<(), Box<dyn Error>> {
+    let cfg = scenario_from(args)?;
+    let mode = args.report_mode()?;
+    let figures = select_figures(args, &PaperReports::NAMES)?;
+    let workers = cfg.threads.max(1);
+    let (frame, dns, enr) = build_frame(cfg, mode);
+    let reports = experiments::paper_reports_columnar(&frame, &dns, &enr, 10, workers);
+    for name in figures {
+        println!("{}", reports.render(name).expect("selected from PaperReports::NAMES"));
+    }
+    if let Some(dir) = args.get("csv") {
+        use satwatch_analytics::csv;
+        fs::create_dir_all(dir)?;
+        let d = Path::new(dir);
+        fs::write(d.join("table1.csv"), csv::table1_csv(&reports.table1))?;
+        fs::write(d.join("fig2.csv"), csv::fig2_csv(&reports.fig2))?;
+        fs::write(d.join("fig3.csv"), csv::fig3_csv(&reports.fig3))?;
+        fs::write(d.join("fig4.csv"), csv::fig4_csv(&reports.fig4))?;
+        fs::write(d.join("fig5.csv"), csv::fig5_csv(&reports.fig5, 200))?;
+        fs::write(d.join("fig6.csv"), csv::fig6_csv(&reports.fig6))?;
+        fs::write(d.join("fig7.csv"), csv::fig7_csv(&reports.fig7))?;
+        fs::write(d.join("fig8a.csv"), csv::fig8a_csv(&reports.fig8a, 200))?;
+        fs::write(d.join("fig8b.csv"), csv::fig8b_csv(&reports.fig8b))?;
+        fs::write(d.join("fig9.csv"), csv::fig9_csv(&reports.fig9, 200))?;
+        fs::write(d.join("fig10.csv"), csv::fig10_csv(&reports.fig10))?;
+        // the CSV export keeps Table 2 at a lower flow floor
+        let ctx = ReportCtx { enrichment: &enr, countries: &Country::TOP6 };
+        let table2_csv = engine::table_cdn_frame(&frame, &dns, ctx, 5, workers);
+        fs::write(d.join("table2.csv"), csv::table_cdn_csv(&table2_csv))?;
+        fs::write(d.join("fig11.csv"), csv::fig11_csv(&reports.fig11, 200))?;
+        eprintln!("wrote 13 CSV files to {dir}");
+    }
+    Ok(())
+}
+
+/// The outputs `replay` prints, in order: those a log directory can
+/// rebuild whole (it keeps each client's beam but not the per-beam
+/// series Fig 8b needs; see `satwatch_scenario::logs`).
+const REPLAY_FIGURES: [&str; 5] = ["table1", "fig2", "fig9", "fig10", "fig11"];
+
 fn replay(args: &Args) -> Result<(), Box<dyn Error>> {
     let dir = args.get("logs").ok_or("replay needs --logs DIR (from `simulate --out DIR`)")?;
-    // the logs keep each client's beam but not the per-beam series, so
-    // Fig 8b is unavailable on replay (see `satwatch_scenario::logs`)
+    let figures = select_figures(args, &REPLAY_FIGURES)?;
     let ds = read_logs(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
     eprintln!("replaying {} flows / {} DNS transactions from {dir}", ds.flows.len(), ds.dns.len());
-    let which = args.get("figure").unwrap_or("all").to_ascii_lowercase();
-    if which == "all" || which == "table1" {
-        println!("{}", experiments::table1(&ds).render());
-    }
-    if which == "all" || which == "fig2" {
-        println!("{}", experiments::fig2(&ds).render());
-    }
-    if which == "all" || which == "fig9" {
-        println!("{}", experiments::fig9(&ds).render());
-    }
-    if which == "all" || which == "fig10" {
-        println!("{}", experiments::fig10(&ds).render());
-    }
-    if which == "all" || which == "fig11" {
-        println!("{}", experiments::fig11(&ds).render());
+    let frame = FlowFrame::from_records(&ds.flows, &ds.enrichment);
+    let ctx = ReportCtx { enrichment: &ds.enrichment, countries: &Country::TOP6 };
+    for name in figures {
+        let text = match name {
+            "table1" => engine::table1_frame(&frame, ctx, 1).render(),
+            "fig2" => engine::fig2_frame(&frame, ctx, 1).render(),
+            "fig9" => engine::fig9_frame(&frame, ctx, 1).render(),
+            "fig10" => engine::fig10_dns(&ds.dns, ctx, 1).render(),
+            _ => engine::fig11_frame(&frame, ctx, 1).render(),
+        };
+        println!("{text}");
     }
     Ok(())
 }
@@ -607,39 +493,13 @@ struct BenchRun {
     /// path, which never materialises the record vector.
     dataset_digest: Option<u64>,
     /// FNV-1a over the rendered paper report — the cross-mode
-    /// equivalence witness (records == columnar == streaming).
+    /// equivalence witness (columnar == streaming == record oracle).
     report_digest: u64,
 }
 
 fn bench_once(mode: ReportMode, cfg: ScenarioConfig, replicate: usize, workers: usize) -> BenchRun {
     use satwatch_scenario::digest::fnv1a;
     match mode {
-        // Baseline: per-figure passes over the flow-record slice.
-        ReportMode::Records => {
-            let t0 = std::time::Instant::now();
-            let ds = run(cfg);
-            let scenario_s = t0.elapsed().as_secs_f64();
-            let tiled: Vec<satwatch_monitor::FlowRecord>;
-            let flows: &[satwatch_monitor::FlowRecord] = if replicate > 1 {
-                tiled = (0..replicate).flat_map(|_| ds.flows.iter().cloned()).collect();
-                &tiled
-            } else {
-                &ds.flows
-            };
-            let t1 = std::time::Instant::now();
-            let reports = experiments::paper_reports_records(flows, &ds.dns, &ds.enrichment, BENCH_MIN_FLOWS, workers);
-            let agg_s = t1.elapsed().as_secs_f64();
-            let report_digest = fnv1a(reports.render_all().as_bytes());
-            std::hint::black_box(&reports);
-            BenchRun {
-                scenario_s,
-                agg_s,
-                packets: ds.packets,
-                rows: flows.len(),
-                dataset_digest: Some(satwatch_scenario::dataset_digest(&ds)),
-                report_digest,
-            }
-        }
         // Columnar: frame build + fused one-pass sweep are both on the
         // analytics clock — that is the path being sold.
         ReportMode::Columnar => {
@@ -793,10 +653,11 @@ fn bench(args: &Args) -> Result<(), Box<dyn Error>> {
         ));
     }
     // Smoke mode doubles as the equivalence gate: re-run the same
-    // workload through the oracle — flows synthesized one at a time,
-    // the probe fed one packet at a time — and diff both digests
-    // against the fast-path runs above. A mismatch is a hot-path
-    // ordering bug, so it fails CI loudly.
+    // workload through the packet oracle — flows synthesized one at a
+    // time, the probe fed one packet at a time — and diff both digests
+    // against the fast-path runs above; then recompute every paper
+    // output with the record oracle and diff the report digest. A
+    // mismatch is an ordering bug, so it fails CI loudly.
     let mut oracle_markers = String::new();
     if smoke {
         let resolved = satwatch_simcore::resolve_workers_or_warn(worker_counts[0], "workers");
@@ -807,9 +668,28 @@ fn bench(args: &Args) -> Result<(), Box<dyn Error>> {
         }
         assert_eq!(report_ref, Some(r.report_digest), "the oracle changed the report digest");
         eprintln!("  fast-path-vs-oracle digest diff: ok");
-        // One marker per gate the oracle run closes: column spans vs
-        // per-packet probe, and cohort vs flow-at-a-time synthesis.
-        oracle_markers = "\n      \"column_oracle_check\": \"ok\",\n      \"synth_oracle_check\": \"ok\",".to_string();
+        // the record oracle over the same dataset, tiled like the frame
+        let ds = run(base.with_threads(resolved).with_probe_shards(resolved));
+        let flows: Vec<satwatch_monitor::FlowRecord> = (0..replicate).flat_map(|_| ds.flows.iter().cloned()).collect();
+        let ctx = ReportCtx { enrichment: &ds.enrichment, countries: &Country::TOP6 };
+        let oracle = satwatch_analytics::oracle::paper_reports(
+            &flows,
+            &ds.dns,
+            ctx,
+            &experiments::FIG6_SERVICES,
+            BENCH_MIN_FLOWS,
+        );
+        let oracle_digest = satwatch_scenario::digest::fnv1a(oracle.render_all().as_bytes());
+        assert_eq!(report_ref, Some(oracle_digest), "the record oracle disagrees with the engine's report");
+        eprintln!("  engine-vs-record-oracle report diff: ok");
+        // One marker per gate: column spans vs per-packet probe, cohort
+        // vs flow-at-a-time synthesis, fused frame sweep vs record folds.
+        oracle_markers = concat!(
+            "\n      \"column_oracle_check\": \"ok\",",
+            "\n      \"synth_oracle_check\": \"ok\",",
+            "\n      \"report_oracle_check\": \"ok\","
+        )
+        .to_string();
     }
     // process-lifetime high-water mark: a whole-process figure for the
     // bench summary, not a per-run peak (earlier runs inflate it)
@@ -1011,6 +891,9 @@ mod tests {
         // and the logs replay into the same Table 1
         let r = parse(&["replay", "--logs", &dir_s, "--figure", "table1"]);
         dispatch(&r).unwrap();
+        // a figure replay does not print is an error, not empty output
+        let r = parse(&["replay", "--logs", &dir_s, "--figure", "fig3"]);
+        assert!(dispatch(&r).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1052,6 +935,19 @@ mod tests {
     }
 
     #[test]
+    fn figure_selection_rejects_unknown_names() {
+        assert_eq!(select_figures(&parse(&["replay"]), &REPLAY_FIGURES).unwrap(), REPLAY_FIGURES);
+        let one = parse(&["report", "--figure", "FIG8B"]);
+        assert_eq!(select_figures(&one, &PaperReports::NAMES).unwrap(), ["fig8b"]);
+        for bogus in ["fig3", "bogus"] {
+            let err = select_figures(&parse(&["replay", "--figure", bogus]), &REPLAY_FIGURES).unwrap_err();
+            assert!(err.contains(bogus), "{err}");
+            assert!(REPLAY_FIGURES.iter().all(|n| err.contains(n)), "error lists what replay prints: {err}");
+        }
+        assert!(select_figures(&parse(&["report", "--figure", "fig3"]), &PaperReports::NAMES).is_ok());
+    }
+
+    #[test]
     fn report_rejects_unknown_figure() {
         let a = parse(&["report", "--customers", "10", "--figure", "fig99"]);
         assert!(dispatch(&a).is_err());
@@ -1061,31 +957,35 @@ mod tests {
     fn report_columnar_mode_renders() {
         let a = parse(&["report", "--report-mode", "columnar", "--figure", "table1", "--customers", "8"]);
         dispatch(&a).unwrap();
-        let bad = parse(&["report", "--report-mode", "rowwise", "--customers", "8"]);
-        assert!(dispatch(&bad).is_err());
+        for bad in ["rowwise", "records"] {
+            let bad = parse(&["report", "--report-mode", bad, "--customers", "8"]);
+            assert!(dispatch(&bad).is_err());
+        }
     }
 
     #[test]
     fn bench_smoke_modes_share_one_report_digest() {
         let dir = std::env::temp_dir().join(format!("satwatch-bench-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let rec_path = dir.join("records.json");
+        let col_path = dir.join("columnar.json");
         let strm_path = dir.join("streaming.json");
-        let rec_s = rec_path.to_str().unwrap().to_string();
+        let col_s = col_path.to_str().unwrap().to_string();
         let strm_s = strm_path.to_str().unwrap().to_string();
-        dispatch(&parse(&["bench", "--smoke", "--customers", "8", "--report-mode", "records", "--out", &rec_s]))
-            .unwrap();
+        dispatch(&parse(&["bench", "--smoke", "--customers", "8", "--out", &col_s])).unwrap();
         dispatch(&parse(&["bench", "--smoke", "--customers", "8", "--report-mode", "streaming", "--out", &strm_s]))
             .unwrap();
-        let rec = std::fs::read_to_string(&rec_path).unwrap();
+        let col = std::fs::read_to_string(&col_path).unwrap();
         let strm = std::fs::read_to_string(&strm_path).unwrap();
         let grab = |s: &str| {
             let tag = "\"report_digest\": \"";
             let i = s.find(tag).expect("bench JSON has a report digest") + tag.len();
             s[i..i + 18].to_string()
         };
-        assert_eq!(grab(&rec), grab(&strm), "records and streaming disagree on the rendered report");
-        assert!(rec.contains("\"digest\": \""), "records mode carries the dataset digest");
+        assert_eq!(grab(&col), grab(&strm), "columnar and streaming disagree on the rendered report");
+        for json in [&col, &strm] {
+            assert!(json.contains("\"report_oracle_check\": \"ok\""), "the record-oracle gate ran");
+        }
+        assert!(col.contains("\"digest\": \""), "columnar mode carries the dataset digest");
         assert!(!strm.contains("\"digest\": \""), "streaming mode never materialises the record vector");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1098,7 +998,7 @@ mod tests {
             {"sort": "-bytes"},
             {"limit": 3}
         ]"#;
-        for mode in ["records", "columnar", "streaming"] {
+        for mode in ["columnar", "streaming"] {
             let a = parse(&["query", "--customers", "8", "--report-mode", mode, "--pipeline", pipeline]);
             dispatch(&a).unwrap();
         }

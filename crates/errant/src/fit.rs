@@ -10,7 +10,8 @@
 //! percentile of per-flow download throughput over ≥1 MB flows.
 
 use crate::model::{EmulationProfile, Period};
-use satwatch_analytics::agg::{is_night, is_peak, Enrichment};
+use satwatch_analytics::engine::{is_night, is_peak};
+use satwatch_analytics::Enrichment;
 use satwatch_monitor::FlowRecord;
 use satwatch_simcore::dist::LogNormal;
 use satwatch_simcore::stats::quantile;

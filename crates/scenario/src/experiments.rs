@@ -4,10 +4,10 @@
 //! (expensive) simulation.
 
 use crate::run::Dataset;
-use satwatch_analytics::agg::{self, Enrichment};
+use satwatch_analytics::engine::{self, ReportCtx};
 use satwatch_analytics::report::*;
-use satwatch_analytics::{Classifier, PaperReports};
-use satwatch_monitor::{DnsRecord, FlowRecord};
+use satwatch_analytics::{Enrichment, FlowFrame, PaperReports};
+use satwatch_monitor::DnsRecord;
 use satwatch_traffic::Country;
 
 /// The Fig 6 service subset (services the user intentionally visits).
@@ -31,110 +31,86 @@ pub fn top6() -> Vec<Country> {
     Country::TOP6.to_vec()
 }
 
+// Each per-figure runner builds the dataset's frame and runs one engine
+// fold over it; callers wanting several outputs should build one
+// `PaperReports` with `paper_reports` instead.
+
+fn frame(ds: &Dataset) -> FlowFrame {
+    FlowFrame::from_records(&ds.flows, &ds.enrichment)
+}
+
+fn ctx(ds: &Dataset) -> ReportCtx<'_> {
+    ReportCtx { enrichment: &ds.enrichment, countries: &Country::TOP6 }
+}
+
 pub fn table1(ds: &Dataset) -> Table1 {
-    agg::table1(&ds.flows)
+    engine::table1_frame(&frame(ds), ctx(ds), 1)
 }
 
 pub fn fig2(ds: &Dataset) -> Fig2 {
-    agg::fig2(&ds.flows, &ds.enrichment)
+    engine::fig2_frame(&frame(ds), ctx(ds), 1)
 }
 
 pub fn fig3(ds: &Dataset) -> Fig3 {
-    agg::fig3(&ds.flows, &ds.enrichment)
+    engine::fig3_frame(&frame(ds), ctx(ds), 1)
 }
 
 pub fn fig4(ds: &Dataset) -> Fig4 {
-    agg::fig4(&ds.flows, &ds.enrichment)
+    engine::fig4_frame(&frame(ds), ctx(ds), 1)
 }
 
 pub fn fig5(ds: &Dataset) -> Fig5 {
-    let classifier = Classifier::standard();
-    let days = agg::customer_days(&ds.flows, &classifier);
-    agg::fig5(&days, &ds.enrichment)
+    engine::fig5_frame(&frame(ds), ctx(ds), 1)
 }
 
 pub fn fig6(ds: &Dataset) -> Fig6 {
-    let classifier = Classifier::standard();
-    let days = agg::customer_days(&ds.flows, &classifier);
-    agg::fig6(&days, &ds.enrichment, &FIG6_SERVICES, &Country::TOP6)
+    engine::fig6_frame(&frame(ds), ctx(ds), &FIG6_SERVICES, 1)
 }
 
 pub fn fig7(ds: &Dataset) -> Fig7 {
-    let classifier = Classifier::standard();
-    let days = agg::customer_days(&ds.flows, &classifier);
-    agg::fig7(&days, &ds.enrichment, &Country::TOP6)
+    engine::fig7_frame(&frame(ds), ctx(ds), 1)
 }
 
 pub fn fig8a(ds: &Dataset) -> Fig8a {
-    agg::fig8a(&ds.flows, &ds.enrichment, &Country::TOP6)
+    engine::fig8a_frame(&frame(ds), ctx(ds), 1)
 }
 
 pub fn fig8b(ds: &Dataset) -> Fig8b {
-    agg::fig8b(&ds.flows, &ds.enrichment)
+    engine::fig8b_frame(&frame(ds), ctx(ds), 1)
 }
 
 pub fn fig9(ds: &Dataset) -> Fig9 {
-    agg::fig9(&ds.flows, &ds.enrichment, &Country::TOP6)
+    engine::fig9_frame(&frame(ds), ctx(ds), 1)
 }
 
 pub fn fig10(ds: &Dataset) -> Fig10 {
-    agg::fig10(&ds.dns, &ds.enrichment, &Country::TOP6)
+    engine::fig10_dns(&ds.dns, ctx(ds), 1)
 }
 
 /// Table 2 (and its Appendix B extensions, Tables 4–5).
 pub fn table_cdn(ds: &Dataset, min_flows: usize) -> TableCdnSelection {
-    agg::table_cdn_selection(&ds.flows, &ds.dns, &ds.enrichment, &Country::TOP6, min_flows)
+    engine::table_cdn_frame(&frame(ds), &ds.dns, ctx(ds), min_flows, 1)
 }
 
 pub fn fig11(ds: &Dataset) -> Fig11 {
-    agg::fig11(&ds.flows, &ds.enrichment, &Country::TOP6)
+    engine::fig11_frame(&frame(ds), ctx(ds), 1)
 }
 
-/// Every paper output from the record path — the slice-based baseline
-/// the columnar engine's `report_all` is pinned byte-identical to.
-/// One `customer_days` rollup is shared by Figs 5–7 (the classifier
-/// memoizes per interned domain handle, so repeated SNIs cost one
-/// pattern scan each).
-pub fn paper_reports_records(
-    flows: &[FlowRecord],
-    dns: &[DnsRecord],
-    enr: &Enrichment,
-    min_flows: usize,
-    workers: usize,
-) -> PaperReports {
-    let classifier = Classifier::standard();
-    let days = agg::customer_days_par(flows, &classifier, workers);
-    PaperReports {
-        table1: agg::table1_par(flows, workers),
-        fig2: agg::fig2_par(flows, enr, workers),
-        fig3: agg::fig3_par(flows, enr, workers),
-        fig4: agg::fig4_par(flows, enr, workers),
-        fig5: agg::fig5(&days, enr),
-        fig6: agg::fig6(&days, enr, &FIG6_SERVICES, &Country::TOP6),
-        fig7: agg::fig7(&days, enr, &Country::TOP6),
-        fig8a: agg::fig8a(flows, enr, &Country::TOP6),
-        fig8b: agg::fig8b(flows, enr),
-        fig9: agg::fig9(flows, enr, &Country::TOP6),
-        fig10: agg::fig10_par(dns, enr, &Country::TOP6, workers),
-        table2: agg::table_cdn_selection(flows, dns, enr, &Country::TOP6, min_flows),
-        fig11: agg::fig11(flows, enr, &Country::TOP6),
-    }
-}
-
-/// [`paper_reports_records`] over a dataset.
+/// Every paper output over a dataset: one frame, one fused sweep.
 pub fn paper_reports(ds: &Dataset, min_flows: usize, workers: usize) -> PaperReports {
-    paper_reports_records(&ds.flows, &ds.dns, &ds.enrichment, min_flows, workers)
+    paper_reports_columnar(&frame(ds), &ds.dns, &ds.enrichment, min_flows, workers)
 }
 
-/// The columnar twin: frame + fused sweep, same outputs byte for byte.
+/// Every paper output over a built frame (batch, streamed or
+/// segment-read), with the paper's country and service scope.
 pub fn paper_reports_columnar(
-    fr: &satwatch_analytics::FlowFrame,
+    fr: &FlowFrame,
     dns: &[DnsRecord],
     enr: &Enrichment,
     min_flows: usize,
     workers: usize,
 ) -> PaperReports {
-    let ctx = satwatch_analytics::ReportCtx { enrichment: enr, countries: &Country::TOP6 };
+    let ctx = ReportCtx { enrichment: enr, countries: &Country::TOP6 };
     satwatch_analytics::report_all(fr, dns, ctx, &FIG6_SERVICES, min_flows, workers)
 }
 

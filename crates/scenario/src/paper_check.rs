@@ -39,12 +39,15 @@ fn row(
     CheckRow { id, what: what.into(), paper: paper.into(), measured: measured.into(), pass }
 }
 
-/// Run every check against one dataset.
+/// Run every check against one dataset: one frame, one fused sweep
+/// over it (Table 2 at a 5-flow floor), and the checks read the
+/// resulting reports.
 pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
+    let r = experiments::paper_reports(ds, 5, 1);
     let mut rows = Vec::new();
 
     // ---- Table 1 ----
-    let t1 = experiments::table1(ds);
+    let t1 = &r.table1;
     let shares = [
         (L7Protocol::TlsHttps, 56.0),
         (L7Protocol::Http, 12.1),
@@ -74,7 +77,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     ));
 
     // ---- Figure 2 ----
-    let f2 = experiments::fig2(ds);
+    let f2 = &r.fig2;
     rows.push(row("F2", "country with most volume", "Congo", f2.rows[0].0.name(), f2.rows[0].0 == Country::Congo));
     if let (Some(cd), Some(es)) = (f2.row(Country::Congo), f2.row(Country::Spain)) {
         rows.push(row(
@@ -102,7 +105,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Figure 3 ----
-    let f3 = experiments::fig3(ds);
+    let f3 = &r.fig3;
     let de_other = f3.share(Country::Germany, L7Protocol::OtherTcp) + f3.share(Country::Germany, L7Protocol::OtherUdp);
     rows.push(row(
         "F3",
@@ -122,7 +125,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     ));
 
     // ---- Figure 4 ----
-    let f4 = experiments::fig4(ds);
+    let f4 = &r.fig4;
     // Peak positions are judged on time-of-day *blocks*: daily argmax
     // is lumpy at simulation scale (a single multi-GB flow spikes one
     // hour bin), while the paper averages ~90 days.
@@ -160,7 +163,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Figure 5 ----
-    let f5 = experiments::fig5(ds);
+    let f5 = &r.fig5;
     let es_low = 1.0 - f5.ccdf(Country::Spain, 0, 250.0);
     rows.push(row(
         "F5a",
@@ -193,7 +196,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     ));
 
     // ---- Figure 6 ----
-    let f6 = experiments::fig6(ds);
+    let f6 = &r.fig6;
     let mut dev_sum = 0.0;
     let mut dev_n = 0usize;
     let mut dev_max: f64 = 0.0;
@@ -227,7 +230,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Figure 7 ----
-    let f7 = experiments::fig7(ds);
+    let f7 = &r.fig7;
     if let (Some(cd), Some(es)) =
         (f7.summary(Country::Congo, Category::Chat), f7.summary(Country::Spain, Category::Chat))
     {
@@ -270,7 +273,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Figure 8a ----
-    let f8a = experiments::fig8a(ds);
+    let f8a = &r.fig8a;
     let min_sat = ds.flows.iter().filter_map(|f| f.sat_rtt_ms).fold(f64::INFINITY, f64::min);
     rows.push(row("F8a", "satellite RTT floor", "> 550 ms", format!("{min_sat:.0} ms"), min_sat > 500.0));
     if let Some((_, night, peak)) = f8a.row(Country::Congo) {
@@ -323,7 +326,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Figure 8b ----
-    let f8b = experiments::fig8b(ds);
+    let f8b = &r.fig8b;
     let worst_beam = f8b.rows.iter().max_by(|a, b| a.3.partial_cmp(&b.3).unwrap());
     if let Some(wb) = worst_beam {
         rows.push(row(
@@ -345,7 +348,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     ));
 
     // ---- Figure 9 ----
-    let f9 = experiments::fig9(ds);
+    let f9 = &r.fig9;
     if let (Some(cd), Some(es)) = (f9.row(Country::Congo), f9.row(Country::Spain)) {
         rows.push(row(
             "F9",
@@ -373,7 +376,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Figure 10 ----
-    let f10 = experiments::fig10(ds);
+    let f10 = &r.fig10;
     let resolver_medians = [
         (ResolverId::OperatorEu, 3.98),
         (ResolverId::Google, 21.98),
@@ -427,7 +430,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Table 2 ----
-    let t2 = experiments::table_cdn(ds, 5);
+    let t2 = &r.table2;
     let op_uk = t2.mean_rtt("apple.com", Country::Uk, ResolverId::OperatorEu);
     let cn_africa = Country::TOP6
         .iter()
@@ -460,7 +463,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Figure 11 ----
-    let f11 = experiments::fig11(ds);
+    let f11 = &r.fig11;
     if let (Some(es), Some(cd)) = (f11.row(Country::Spain), f11.row(Country::Congo)) {
         rows.push(row(
             "F11a",

@@ -3,7 +3,7 @@
 
 use crate::config::ScenarioConfig;
 use crate::flowsim::NetModel;
-use satwatch_analytics::agg::{BeamInfo, Enrichment};
+use satwatch_analytics::{BeamInfo, Enrichment};
 use satwatch_internet::{CdnCatalog, ResolverId};
 use satwatch_monitor::anon::CryptoPan;
 use satwatch_monitor::{DnsRecord, FlowRecord, FlowTableConfig, ProbeConfig, ShardedProbe};

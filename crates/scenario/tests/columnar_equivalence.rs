@@ -1,10 +1,12 @@
 //! Golden equivalence: the columnar engine's fused `report_all` must
-//! reproduce the record-based paper outputs byte for byte — batch- or
-//! stream-built frame, any worker count, any shard count.
+//! reproduce the record oracle's paper outputs byte for byte — batch-
+//! or stream-built frame, any worker count, any shard count.
 
-use satwatch_analytics::FlowFrame;
-use satwatch_scenario::experiments::{paper_reports_columnar, paper_reports_records};
+use satwatch_analytics::{oracle, Enrichment, FlowFrame, PaperReports, ReportCtx};
+use satwatch_monitor::{DnsRecord, FlowRecord};
+use satwatch_scenario::experiments::{paper_reports_columnar, FIG6_SERVICES};
 use satwatch_scenario::{run, run_streaming, ScenarioConfig};
+use satwatch_traffic::Country;
 
 fn cfg(shards: usize) -> ScenarioConfig {
     ScenarioConfig::tiny().with_seed(42).with_customers(30).with_probe_shards(shards)
@@ -12,10 +14,16 @@ fn cfg(shards: usize) -> ScenarioConfig {
 
 const MIN_FLOWS: usize = 5;
 
+/// The record oracle at the scope `paper_reports_columnar` uses.
+fn paper_reports_records(flows: &[FlowRecord], dns: &[DnsRecord], enr: &Enrichment) -> PaperReports {
+    let ctx = ReportCtx { enrichment: enr, countries: &Country::TOP6 };
+    oracle::paper_reports(flows, dns, ctx, &FIG6_SERVICES, MIN_FLOWS)
+}
+
 #[test]
 fn columnar_reports_match_record_reports_field_by_field() {
     let ds = run(cfg(1));
-    let records = paper_reports_records(&ds.flows, &ds.dns, &ds.enrichment, MIN_FLOWS, 1);
+    let records = paper_reports_records(&ds.flows, &ds.dns, &ds.enrichment);
     let fr = FlowFrame::from_records(&ds.flows, &ds.enrichment);
     assert_eq!(fr.len(), ds.flows.len());
     for workers in [1usize, 4] {
@@ -42,7 +50,7 @@ fn columnar_reports_match_record_reports_field_by_field() {
 fn streamed_frame_equals_batch_frame_at_any_shard_count() {
     let ds = run(cfg(1));
     let batch = FlowFrame::from_records(&ds.flows, &ds.enrichment);
-    let baseline = paper_reports_records(&ds.flows, &ds.dns, &ds.enrichment, MIN_FLOWS, 1).render_all();
+    let baseline = paper_reports_records(&ds.flows, &ds.dns, &ds.enrichment).render_all();
     for shards in [1usize, 4] {
         let cds = run_streaming(cfg(shards));
         assert_eq!(cds.packets, ds.packets, "shards={shards}");
@@ -70,7 +78,7 @@ fn streamed_frame_equals_batch_frame_at_any_shard_count() {
 fn replicated_frame_matches_tiled_record_slice() {
     let ds = run(ScenarioConfig::tiny().with_seed(7).with_customers(12));
     let tiled: Vec<_> = ds.flows.iter().chain(ds.flows.iter()).chain(ds.flows.iter()).cloned().collect();
-    let records = paper_reports_records(&tiled, &ds.dns, &ds.enrichment, MIN_FLOWS, 1);
+    let records = paper_reports_records(&tiled, &ds.dns, &ds.enrichment);
     let fr = FlowFrame::from_records(&ds.flows, &ds.enrichment).replicate(3);
     let columnar = paper_reports_columnar(&fr, &ds.dns, &ds.enrichment, MIN_FLOWS, 3);
     assert_eq!(records.render_all(), columnar.render_all());

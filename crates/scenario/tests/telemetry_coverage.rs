@@ -11,7 +11,8 @@ use satwatch_telemetry::Snapshot;
 #[test]
 fn snapshot_covers_every_pipeline_layer() {
     let ds = run(ScenarioConfig::tiny().with_customers(10).with_probe_shards(2));
-    let _ = satwatch_analytics::agg::table1_par(&ds.flows, 2);
+    let fr = satwatch_analytics::FlowFrame::from_records(&ds.flows, &ds.enrichment);
+    let _ = satwatch_scenario::experiments::paper_reports_columnar(&fr, &ds.dns, &ds.enrichment, 5, 2);
     let snap = Snapshot::take();
     let counter = |name: &str| snap.counter(name).unwrap_or_else(|| panic!("{name} missing from snapshot"));
 
@@ -70,11 +71,12 @@ fn snapshot_covers_every_pipeline_layer() {
     assert!(verdicts >= ds.flows.len() as u64, "every finalised flow got a DPI verdict");
 
     // analytics span timers
-    let h = snap.histogram("analytics_table1_us").expect("analytics span registered");
-    assert!(h.count >= 1);
+    for span in ["analytics_frame_build_us", "analytics_report_all_us"] {
+        let h = snap.histogram(span).unwrap_or_else(|| panic!("{span} missing from snapshot"));
+        assert!(h.count >= 1, "{span} recorded");
+    }
 
     // query DSL: per-stage spans and pushdown counters
-    let fr = satwatch_analytics::FlowFrame::from_records(&ds.flows, &ds.enrichment);
     let p = satwatch_analytics::Pipeline::parse(
         r#"[
             {"match": {"eq": [{"col": "country"}, "ES"]}},

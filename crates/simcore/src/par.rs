@@ -131,28 +131,13 @@ where
     ordered_par_map(workers, &chunks, |_, c| f(c))
 }
 
-/// Map-reduce: parallel partial folds over contiguous chunks, then a
-/// left-to-right reduce in chunk order. Deterministic whenever
-/// `reduce` is associative over adjacent chunks (it need not be
-/// commutative — chunk order is preserved).
-pub fn ordered_par_fold<I, A, F, R>(workers: usize, items: &[I], map: F, mut reduce: R) -> A
-where
-    I: Sync,
-    A: Send + Default,
-    F: Fn(&[I]) -> A + Sync,
-    R: FnMut(A, A) -> A,
-{
-    let mut parts = ordered_par_chunks(workers, items, map).into_iter();
-    let first = parts.next().unwrap_or_default();
-    parts.fold(first, &mut reduce)
-}
-
-/// [`ordered_par_fold`] over index ranges instead of a slice: partial
-/// folds over contiguous `0..len` sub-ranges, reduced in range order.
-/// For columnar data (struct-of-arrays) there is no single item slice
-/// to chunk, so the caller receives a `Range<usize>` and indexes its
-/// own columns. Deterministic under the same associativity condition
-/// as [`ordered_par_fold`].
+/// Map-reduce over index ranges: partial folds over contiguous
+/// `0..len` sub-ranges in parallel, then a left-to-right reduce in
+/// range order. For columnar data (struct-of-arrays) there is no
+/// single item slice to chunk, so the caller receives a
+/// `Range<usize>` and indexes its own columns. Deterministic whenever
+/// `reduce` is associative over adjacent ranges (it need not be
+/// commutative — range order is preserved).
 pub fn ordered_par_ranges<A, F, R>(workers: usize, len: usize, map: F, mut reduce: R) -> A
 where
     A: Send + Default,
@@ -221,34 +206,6 @@ mod tests {
             let parts = ordered_par_chunks(workers, &items, |c| c.to_vec());
             let flat: Vec<u32> = parts.into_iter().flatten().collect();
             assert_eq!(flat, items, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn fold_sums_like_serial() {
-        let items: Vec<u64> = (0..1000).collect();
-        let serial: u64 = items.iter().sum();
-        for workers in [1, 2, 4, 16] {
-            let par = ordered_par_fold(workers, &items, |c| c.iter().sum::<u64>(), |a, b| a + b);
-            assert_eq!(par, serial);
-        }
-    }
-
-    #[test]
-    fn fold_preserves_chunk_order_for_noncommutative_reduce() {
-        let items: Vec<u32> = (0..57).collect();
-        let serial: Vec<u32> = items.clone();
-        for workers in [2, 5, 13] {
-            let par = ordered_par_fold(
-                workers,
-                &items,
-                |c| c.to_vec(),
-                |mut a, b| {
-                    a.extend(b);
-                    a
-                },
-            );
-            assert_eq!(par, serial, "concatenation must follow chunk order");
         }
     }
 

@@ -162,21 +162,6 @@ proptest! {
     }
 
     #[test]
-    fn ordered_par_fold_matches_serial(items in proptest::collection::vec(any::<u8>(), 0..300),
-                                       workers in 0usize..9) {
-        // the reduce is string concatenation — noncommutative, so any
-        // out-of-order chunk merge changes the answer
-        let serial: String = items.iter().map(|b| format!("{b:02x}")).collect();
-        let par = satwatch_simcore::ordered_par_fold(
-            workers,
-            &items,
-            |chunk: &[u8]| chunk.iter().map(|b| format!("{b:02x}")).collect::<String>(),
-            |mut acc: String, part| { acc.push_str(&part); acc },
-        );
-        prop_assert_eq!(par, serial);
-    }
-
-    #[test]
     fn fork_label_independence(seed in any::<u64>()) {
         // two forks of the same tree with different labels never start
         // with the same 4 outputs (overwhelming probability; this is a

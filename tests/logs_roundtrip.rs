@@ -119,6 +119,25 @@ fn log_directory_round_trips() {
 }
 
 #[test]
+fn paper_reports_over_read_back_logs() {
+    // a log directory keeps each client's beam but no beam table, the
+    // shape of every replayed dataset: Fig 8b must come back empty
+    // instead of indexing a beam that is not there
+    let ds = run(ScenarioConfig::tiny().with_customers(30).with_seed(5));
+    let dir = std::env::temp_dir().join(format!("satwatch-logs-reports-{}", std::process::id()));
+    write_logs(&dir, &ds).expect("write logs");
+    let back = read_logs(&dir).expect("read logs");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(back.enrichment.beams.is_empty() && !back.enrichment.beam_of.is_empty());
+
+    let live = experiments::paper_reports(&ds, 5, 1);
+    let replayed = experiments::paper_reports(&back, 5, 1);
+    assert!(!live.fig8b.rows.is_empty());
+    assert!(replayed.fig8b.rows.is_empty(), "{:?}", replayed.fig8b);
+    assert_eq!(format!("{:?}", replayed.table1), format!("{:?}", live.table1));
+}
+
+#[test]
 fn flow_log_is_anonymized() {
     // No flow record may leak an address from the operator's customer
     // subnet: CryptoPan runs before anything is stored (paper §2.3).
