@@ -48,10 +48,11 @@ use satwatch_scenario::{DayRunner, ScenarioConfig};
 use satwatch_simcore::SimTime;
 use satwatch_telemetry as telemetry;
 use satwatch_traffic::Country;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 pub const SECS_PER_DAY: u64 = 86_400;
 
@@ -299,20 +300,22 @@ impl Campaign {
         let mut runner = DayRunner::new(self.cfg);
         let enr = runner.enrichment();
 
-        // Evicted flows stream out of the probe shards into day
+        // Evicted flows stream out of the probe partitions into day
         // buckets keyed by the day of the flow's first packet. Each
-        // shard's evictions arrive in its eviction order (one lock per
-        // push); cross-shard interleaving is nondeterministic but
-        // harmless — seal-time sorting is *stable* on the canonical
+        // partition's evictions arrive in its eviction order. The
+        // cross-partition interleaving is deterministic but depends on
+        // the shard count, so it is not the canonical order: seal-time
+        // sorting restores it. The sort is *stable* on the canonical
         // key, and records that tie on it always come from the same
-        // shard (the dispatcher routes a host pair to one shard), so
-        // the canonical batch order is reproduced exactly.
-        let sink_buckets: Arc<Mutex<FlowBuckets>> = Arc::new(Mutex::new(FlowBuckets::new()));
+        // partition (the dispatcher routes a host pair to one
+        // partition), so the canonical batch order is reproduced
+        // exactly at any shard count.
+        let sink_buckets: Rc<RefCell<FlowBuckets>> = Rc::default();
         let mut probe = ShardedProbe::with_flow_sink(runner.probe_config(), self.cfg.probe_shards, |_shard| {
-            let buckets = Arc::clone(&sink_buckets);
+            let buckets = Rc::clone(&sink_buckets);
             Box::new(move |f: FlowRecord| {
                 let day = f.first.as_secs() / SECS_PER_DAY;
-                buckets.lock().expect("sink lock").entry(day).or_default().push(f);
+                buckets.borrow_mut().entry(day).or_default().push(f);
             }) as FlowSink
         });
         if let Some(state) = self.probe_carry.take() {
@@ -422,9 +425,9 @@ impl Campaign {
     }
 
     /// Merge the flow-sink buckets into the campaign's (append-only —
-    /// per-shard arrival order is preserved).
-    fn drain_sink(&mut self, sink: &Arc<Mutex<FlowBuckets>>) {
-        let drained = std::mem::take(&mut *sink.lock().expect("sink lock"));
+    /// per-partition arrival order is preserved).
+    fn drain_sink(&mut self, sink: &RefCell<FlowBuckets>) {
+        let drained = sink.take();
         for (day, flows) in drained {
             self.flow_buckets.entry(day).or_default().extend(flows);
         }
@@ -455,7 +458,7 @@ impl Campaign {
                 return Ok(());
             }
             let mut flows = self.flow_buckets.remove(&next).unwrap_or_default();
-            // stable sort: per-shard eviction order breaks the
+            // stable sort: per-partition eviction order breaks the
             // (vanishingly rare) canonical-key ties, same as the
             // batch path's stable merge
             flows.sort_by_key(flow_sort_key);

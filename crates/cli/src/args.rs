@@ -21,6 +21,7 @@ pub enum ArgError {
     MissingCommand,
     UnexpectedToken(String),
     MissingValue(String),
+    UnknownOption(String),
     BadValue { key: String, value: String },
 }
 
@@ -30,6 +31,7 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingCommand => write!(f, "missing command"),
             ArgError::UnexpectedToken(t) => write!(f, "unexpected token: {t}"),
             ArgError::MissingValue(k) => write!(f, "option --{k} needs a value"),
+            ArgError::UnknownOption(k) => write!(f, "unknown option --{k}"),
             ArgError::BadValue { key, value } => write!(f, "bad value for --{key}: {value}"),
         }
     }
@@ -40,6 +42,33 @@ impl std::error::Error for ArgError {}
 /// Option keys that are boolean flags (no value).
 const FLAGS: &[&str] =
     &["no-pep", "african-gs", "force-operator-dns", "smoke", "help", "no-metrics", "no-batching", "print-rss"];
+
+/// Option keys that take a value. Any other `--key` is rejected, so a
+/// misspelled option fails instead of silently running the default.
+const OPTIONS: &[&str] = &[
+    "abort-after-day",
+    "change",
+    "csv",
+    "customers",
+    "days",
+    "figure",
+    "format",
+    "logs",
+    "metrics-interval",
+    "metrics-out",
+    "n",
+    "out",
+    "pcap",
+    "pipeline",
+    "pipeline-file",
+    "replicate",
+    "report-mode",
+    "resume",
+    "seed",
+    "shards",
+    "snaplen",
+    "threads",
+];
 
 /// How a command builds the flow frame its analytics read — the one
 /// shared `--report-mode` vocabulary for `report`, `bench`, and
@@ -97,9 +126,11 @@ impl Args {
             };
             if FLAGS.contains(&key) {
                 flags.push(key.to_string());
-            } else {
+            } else if OPTIONS.contains(&key) {
                 let value = it.next().ok_or_else(|| ArgError::MissingValue(key.to_string()))?;
                 options.insert(key.to_string(), value);
+            } else {
+                return Err(ArgError::UnknownOption(key.to_string()));
             }
         }
         Ok(Args { command, options, flags })
@@ -156,6 +187,14 @@ mod tests {
         assert_eq!(parse(&["run", "--seed"]), Err(ArgError::MissingValue("seed".into())));
         let bad = parse(&["run", "--seed", "x"]).unwrap().get_parsed::<u64>("seed", 0);
         assert!(matches!(bad, Err(ArgError::BadValue { .. })));
+    }
+
+    #[test]
+    fn rejects_unknown_options() {
+        assert_eq!(parse(&["report", "--custmers", "5"]), Err(ArgError::UnknownOption("custmers".into())));
+        assert_eq!(parse(&["rules", "--bogus", "1"]), Err(ArgError::UnknownOption("bogus".into())));
+        assert_eq!(parse(&["report", "--no-peps"]), Err(ArgError::UnknownOption("no-peps".into())));
+        assert!(format!("{}", ArgError::UnknownOption("custmers".into())).contains("--custmers"));
     }
 
     #[test]

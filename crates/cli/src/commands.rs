@@ -85,12 +85,14 @@ scenario options (all commands):
   --customers N          number of CPEs (default 300)
   --days N               simulated days (default 1)
   --seed N               root seed (default 42)
-  --threads N            worker threads for parallel stages
-                         (default 1 = serial, 0 = one per core;
-                          output is bit-identical at any value)
-  --shards N             probe shards for the span-port stream
-                         (default 1 = inline probe, 0 = one per core;
-                          output is bit-identical at any value)
+  --threads N            worker threads for intent generation and
+                         the analytics folds and queries (default 1
+                         = serial, 0 = one per core; output is
+                         bit-identical at any value)
+  --shards N             host-pair partitions of the probe, all run
+                         on one thread; starts no threads (default 1,
+                         0 = one per core; output is bit-identical
+                         at any value)
   --no-batching          synthesize each flow on its own and drive
                          the probe per packet instead of in cohorts
                          and column spans (the slow reference path;
@@ -188,11 +190,12 @@ fn write_metrics(path: &str) -> Result<(), Box<dyn Error>> {
 }
 
 fn scenario_from(args: &Args) -> Result<ScenarioConfig, Box<dyn Error>> {
-    // `0` auto-detects one worker per core; oversubscription (more
-    // workers than cores) warns and raises the
-    // `par_threads_oversubscribed` gauge but is honoured.
+    // `0` auto-detects one per core. Oversubscribed threads (more
+    // workers than cores) warn and raise the
+    // `par_threads_oversubscribed` gauge but are honoured; shards are
+    // probe partitions driven on this thread, so they never warn.
     let threads = satwatch_simcore::resolve_workers_or_warn(args.get_parsed("threads", 1usize)?, "threads");
-    let shards = satwatch_simcore::resolve_workers_or_warn(args.get_parsed("shards", 1usize)?, "shards");
+    let shards = satwatch_simcore::resolve_workers(args.get_parsed("shards", 1usize)?);
     let mut cfg = ScenarioConfig::tiny()
         .with_customers(args.get_parsed("customers", 300u32)?)
         .with_days(args.get_parsed("days", 1u64)?)
@@ -242,8 +245,7 @@ fn campaign(args: &Args) -> Result<(), Box<dyn Error>> {
             let stored = c.config();
             let threads =
                 satwatch_simcore::resolve_workers_or_warn(args.get_parsed("threads", stored.threads)?, "threads");
-            let shards =
-                satwatch_simcore::resolve_workers_or_warn(args.get_parsed("shards", stored.probe_shards)?, "shards");
+            let shards = satwatch_simcore::resolve_workers(args.get_parsed("shards", stored.probe_shards)?);
             c.override_perf(threads, shards, stored.packet_batching && !args.flag("no-batching"));
             eprintln!(
                 "campaign: resuming {} at day {}/{} ({} segments sealed)",
@@ -704,10 +706,11 @@ fn bench(args: &Args) -> Result<(), Box<dyn Error>> {
         .filter(|o| o.status.success())
         .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
         .unwrap_or_else(|| "unknown".to_string());
-    let change = args.get("change").unwrap_or("").replace('"', "'");
+    let mut change = String::new();
+    satwatch_telemetry::json_string(&mut change, args.get("change").unwrap_or(""));
     let entry = format!(
         concat!(
-            "    {{\n      \"rev\": \"{rev}\",\n      \"change\": \"{change}\",\n",
+            "    {{\n      \"rev\": \"{rev}\",\n      \"change\": {change},\n",
             "      \"workload\": \"{workload}\",\n      \"report_mode\": \"{mode}\",\n",
             "      \"replicate\": {replicate},\n      \"cores\": {cores},{oracle_markers}\n",
             "      \"peak_rss_process_bytes\": {peak_rss},\n      \"runs\": [\n{runs}\n      ]\n    }}"
@@ -834,6 +837,29 @@ mod tests {
         assert!(!cfg.pep_enabled);
         assert!(cfg.african_ground_station);
         assert!(!cfg.force_operator_dns);
+    }
+
+    /// Every `--key` the help text documents parses (flags bare,
+    /// options with a value), and a misspelled one is rejected by name.
+    #[test]
+    fn every_documented_option_parses() {
+        let text = usage();
+        let keys: Vec<&str> = text
+            .split("--")
+            .skip(1)
+            .map(|rest| rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).next().unwrap_or(""))
+            .filter(|k| !k.is_empty())
+            .collect();
+        assert!(keys.len() > 25, "usage lists the options: {keys:?}");
+        for key in keys {
+            let flag = ["report".to_string(), format!("--{key}")];
+            let option = ["report".to_string(), format!("--{key}"), "1".to_string()];
+            let ok =
+                Args::parse(flag).is_ok_and(|a| a.flag(key)) || Args::parse(option).is_ok_and(|a| a.get(key).is_some());
+            assert!(ok, "--{key} is documented but does not parse");
+        }
+        let err = Args::parse(["report", "--custmers", "5"].map(String::from)).unwrap_err();
+        assert!(err.to_string().contains("--custmers"), "{err}");
     }
 
     #[test]
@@ -987,6 +1013,26 @@ mod tests {
         }
         assert!(col.contains("\"digest\": \""), "columnar mode carries the dataset digest");
         assert!(!strm.contains("\"digest\": \""), "streaming mode never materialises the record vector");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `--change` is free text: quotes, backslashes and newlines are
+    /// escaped, so the appended history entry stays valid JSON and
+    /// reads back verbatim.
+    #[test]
+    fn bench_change_note_is_escaped() {
+        use satwatch_analytics::expr::Json;
+        let dir = std::env::temp_dir().join(format!("satwatch-bench-change-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("history.json");
+        std::fs::write(&path, "{\n  \"entries\": [\n    {\"rev\": \"earlier\"}\n  ]\n}\n").unwrap();
+        let note = "fix\\path \"quoted\"\nline2";
+        dispatch(&parse(&["bench", "--smoke", "--customers", "4", "--change", note, "--out", path.to_str().unwrap()]))
+            .unwrap();
+        let json = Json::parse(&std::fs::read_to_string(&path).unwrap()).expect("history is valid JSON");
+        let Some(Json::Arr(entries)) = json.get("entries") else { panic!("no entries array") };
+        assert_eq!(entries.len(), 2, "the new entry was appended after the earlier one");
+        assert_eq!(entries[1].get("change"), Some(&Json::Str(note.to_string())));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,10 +8,9 @@
 //! records, and analytics all alias the same backing bytes, and
 //! record finalisation becomes a reference-count bump.
 //!
-//! Interners are per-probe-shard (no cross-thread locking): `Arc<str>`
-//! compares, hashes, orders, and serialises by content, so two shards
-//! interning the same name independently still produce identical
-//! output bytes.
+//! Interners are per probe partition: `Arc<str>` compares, hashes,
+//! orders, and serialises by content, so two partitions interning the
+//! same name independently still produce identical output bytes.
 
 use satwatch_simcore::FxHashSet;
 use std::sync::Arc;

@@ -21,8 +21,8 @@
 //! * [`record`] — Tstat-like flow/DNS records with TSV round-trip.
 //! * [`probe`] — the composed probe: one `observe()` per packet,
 //!   `finish()` yields anonymized records.
-//! * [`sharded`] — the probe partitioned across worker threads by host
-//!   pair, with globally driven sweeps and a deterministic merge: any
+//! * [`sharded`] — the probe partitioned by host pair and driven
+//!   inline, with globally driven sweeps and a deterministic merge: any
 //!   shard count yields byte-identical output.
 //! * [`checkpoint`] — complete probe-state serialization (live flows,
 //!   pending DNS, sweep clock) so multi-day campaigns survive `kill

@@ -17,8 +17,8 @@ use satwatch_simcore::{fx_map_with_capacity, FxHashMap, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
-/// Telemetry handles shared by every probe instance (shards included —
-/// the counters sum across them). Write-only on the packet path.
+/// Telemetry handles shared by every probe instance (partitions
+/// included — the counters sum across them). Write-only on the packet path.
 struct Metrics {
     packets: &'static satwatch_telemetry::Counter,
     batches: &'static satwatch_telemetry::Counter,
@@ -77,7 +77,7 @@ impl ProbeConfig {
 /// count. Records arrive in eviction order, which is not the
 /// canonical output order; consumers that need it must re-sort by
 /// [`flow_sort_key`] (analytics' `FrameBuilder::seal` does).
-pub type FlowSink = Box<dyn FnMut(FlowRecord) + Send>;
+pub type FlowSink = Box<dyn FnMut(FlowRecord)>;
 
 /// Memoized [`CryptoPan::anonymize`]. A free function over the two
 /// fields involved so call sites can split-borrow the probe.
@@ -200,9 +200,9 @@ impl Probe {
     }
 
     /// Process one packet *without* the periodic-sweep check. The
-    /// sharded probe uses this and drives [`Probe::sweep_now`]
+    /// partitioned probe uses this and drives [`Probe::sweep_now`]
     /// globally, so eviction timing is identical at any shard count
-    /// (a shard seeing few packets must not sweep late).
+    /// (a partition seeing few packets must not sweep late).
     pub fn process_packet(&mut self, t: SimTime, pkt: &Packet) {
         self.note_packets(1);
         self.table.process(t, pkt);
@@ -212,8 +212,8 @@ impl Probe {
 
     /// Process columnar rows `[start, end)` *without* the
     /// periodic-sweep check — the columnar counterpart of
-    /// [`process_packet`](Self::process_packet), used by the sharded
-    /// workers and [`observe_cols`](Self::observe_cols). Rows walk the
+    /// [`process_packet`](Self::process_packet), used by the
+    /// partitioned probe and [`observe_cols`](Self::observe_cols). Rows walk the
     /// flow table in same-flow stretches with zero `Packet`
     /// materialization; only port-53 UDP stretches reach the DNS
     /// transaction log, which parses straight from the payload slice.

@@ -1,5 +1,6 @@
-//! Sharded probe: the span-port stream partitioned across N worker
-//! threads, each running a full [`Probe`], with a deterministic merge.
+//! Partitioned probe: the span-port stream split into N host-pair
+//! partitions, each a full [`Probe`], all driven inline on the
+//! caller's thread, with a deterministic merge.
 //!
 //! ## Determinism contract
 //!
@@ -10,84 +11,49 @@
 //! 1. **Routing by host pair, not five-tuple.** The probe's DNS
 //!    transaction table is keyed `(client, resolver, id)` — it ignores
 //!    ports — so two queries from different source ports must land on
-//!    the same shard to share state. Routing on the unordered
+//!    the same partition to share state. Routing on the unordered
 //!    `(min(src, dst), max(src, dst))` address pair guarantees every
 //!    packet of a host pair (both directions, all ports, all
-//!    protocols) is seen by exactly one shard. The hash is
+//!    protocols) is seen by exactly one partition. The hash is
 //!    [`fx_hash_one`], which has no per-process random state, so the
 //!    partition itself is reproducible run to run.
 //!
 //! 2. **Globally driven sweeps.** A single probe sweeps when a packet
-//!    arrives ≥ `sweep_interval` after the last sweep. If each shard
-//!    swept on *its own* packet arrivals, a quiet shard would sweep
-//!    late and evict an idle flow after its five-tuple was reused,
-//!    merging two flows that the single probe keeps separate. Instead
-//!    the dispatcher keeps the one sweep clock and broadcasts
-//!    `Sweep(t)` to every shard at exactly the moments the single
-//!    probe would sweep. Per-shard channels are FIFO, so each shard
-//!    has processed all packets before `t` when the sweep runs.
+//!    arrives ≥ `sweep_interval` after the last sweep. If each
+//!    partition swept on *its own* packet arrivals, a quiet one would
+//!    sweep late and evict an idle flow after its five-tuple was
+//!    reused, merging two flows that the single probe keeps separate.
+//!    Instead the dispatcher keeps the one sweep clock and sweeps every
+//!    partition at exactly the moments the single probe would, after
+//!    routing every packet before the sweep moment.
 //!
-//! 3. **Total merge keys.** Each shard's `finish()` output is sorted
-//!    by the probe's canonical keys; the merge concatenates and
+//! 3. **Total merge keys.** Each partition's `finish()` output is
+//!    sorted by the probe's canonical keys; the merge concatenates and
 //!    re-sorts with the same keys. The flow key is total over distinct
-//!    flows, and DNS ties always share a shard, so the merged order
+//!    flows, and DNS ties always share a partition, so the merged order
 //!    equals the single-probe order.
+//!
+//! One shard is the same code with one partition. The partitions run
+//! on the caller's thread; DESIGN.md §7 has the measurements behind
+//! that and what the partitioning is kept for.
 
-use crate::checkpoint::ProbeState;
+use crate::checkpoint::{CheckpointError, ProbeState};
 use crate::probe::{dns_cmp, flow_sort_key, FlowSink, Probe, ProbeConfig};
 use crate::record::{DnsRecord, FlowRecord};
 use satwatch_netstack::{Packet, PacketColumns};
 use satwatch_simcore::{fx_hash_one, resolve_workers, SimDuration, SimTime};
 use std::net::Ipv4Addr;
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::thread::JoinHandle;
 
-/// Per-shard channel depth. Deep enough to ride out transient
-/// imbalance between shards without stalling the dispatcher.
-const SHARD_QUEUE_DEPTH: usize = 4_096;
-
-enum ShardMsg {
-    Packet(SimTime, Packet),
-    /// A time-sorted same-host-pair columnar run, processed by the
-    /// worker as one [`Probe::process_cols`] call. Boxed: the column
-    /// struct is ~200 bytes of Vec headers and would dominate the
-    /// enum's size otherwise.
-    Cols(Box<PacketColumns>),
-    Sweep(SimTime),
-    /// Export the shard's probe state through the supplied channel.
-    /// Per-shard channels are FIFO, so by the time a worker sees this
-    /// it has processed every packet dispatched before the checkpoint.
-    Checkpoint(SyncSender<ProbeState>),
-    /// Install carry-over state (campaign resume; sent before any
-    /// packets).
-    Restore(Box<ProbeState>),
-}
-
-struct ShardOutput {
-    flows: Vec<FlowRecord>,
-    dns: Vec<DnsRecord>,
-    packets: u64,
-    parse_errors: u64,
-}
-
-enum Mode {
-    /// One shard: run the probe inline, no threads, no channel.
-    Single(Box<Probe>),
-    Threaded {
-        senders: Vec<SyncSender<ShardMsg>>,
-        workers: Vec<JoinHandle<ShardOutput>>,
-    },
-}
-
-/// A probe whose packet stream is partitioned across worker threads.
+/// A probe whose packet stream is partitioned by host pair.
 ///
-/// Construct with the desired shard count (`0` = one per core,
-/// `1` = inline single probe) and use exactly like [`Probe`]: feed the
-/// span port in global time order — merge-drain spans through
-/// `observe_cols()` (the fast path) or single packets through
-/// `observe()` (the oracle) — then `finish()`.
+/// Construct with the desired partition count (`0` = one per core)
+/// and use exactly like [`Probe`]: feed the span port in global time
+/// order — merge-drain spans through `observe_cols()` (the fast path)
+/// or single packets through `observe()` (the oracle) — then
+/// `finish()`.
 pub struct ShardedProbe {
-    mode: Mode,
+    /// The partitions, indexed by [`shard_of`].
+    probes: Vec<Probe>,
     sweep_interval: SimDuration,
     last_sweep: SimTime,
     /// Total packets dispatched (mirrors [`Probe::packets`]).
@@ -96,271 +62,184 @@ pub struct ShardedProbe {
 
 impl ShardedProbe {
     pub fn new(cfg: ProbeConfig, shards: usize) -> ShardedProbe {
-        Self::build(cfg, shards, &mut None::<fn(usize) -> FlowSink>)
+        Self::build(cfg, shards, None::<fn(usize) -> FlowSink>)
     }
 
-    /// A sharded probe whose shards stream evicted flows into sinks
-    /// instead of accumulating them: `make_sink(shard)` is called once
-    /// per shard, on the caller's thread, before the shard starts.
+    /// A partitioned probe whose partitions stream evicted flows into
+    /// sinks instead of accumulating them: `make_sink(shard)` is called
+    /// once per partition, and every sink runs on the caller's thread.
     /// `finish()` then returns an empty flow vector. Evictions reach
-    /// the sinks in per-shard eviction order — any global order must
-    /// be restored by the consumer (sort by [`flow_sort_key`]).
+    /// the sinks in per-partition eviction order — any global order
+    /// must be restored by the consumer (sort by [`flow_sort_key`]).
     pub fn with_flow_sink<F>(cfg: ProbeConfig, shards: usize, make_sink: F) -> ShardedProbe
     where
         F: FnMut(usize) -> FlowSink,
     {
-        Self::build(cfg, shards, &mut Some(make_sink))
+        Self::build(cfg, shards, Some(make_sink))
     }
 
-    fn build<F>(cfg: ProbeConfig, shards: usize, make_sink: &mut Option<F>) -> ShardedProbe
+    fn build<F>(cfg: ProbeConfig, shards: usize, mut make_sink: Option<F>) -> ShardedProbe
     where
         F: FnMut(usize) -> FlowSink,
     {
-        let shards = resolve_workers(shards);
-        let mode = if shards <= 1 {
-            let mut probe = Probe::new(cfg);
-            if let Some(f) = make_sink {
-                probe.set_flow_sink(f(0));
-            }
-            Mode::Single(Box::new(probe))
-        } else {
-            let mut senders = Vec::with_capacity(shards);
-            let mut workers = Vec::with_capacity(shards);
-            for shard in 0..shards {
-                let (tx, rx) = sync_channel::<ShardMsg>(SHARD_QUEUE_DEPTH);
-                senders.push(tx);
-                let sink: Option<FlowSink> = make_sink.as_mut().map(|f| f(shard));
-                let builder = std::thread::Builder::new().name(format!("probe-shard-{shard}"));
-                let handle = builder
-                    .spawn(move || {
-                        let mut probe = Probe::new(cfg);
-                        if let Some(sink) = sink {
-                            probe.set_flow_sink(sink);
-                        }
-                        // resolved once per worker: the registry mutex
-                        // stays off the per-packet path
-                        let shard_packets = satwatch_telemetry::counter_with(
-                            "monitor_shard_packets_total",
-                            &[("shard", &shard.to_string())],
-                        );
-                        while let Ok(msg) = rx.recv() {
-                            match msg {
-                                ShardMsg::Packet(t, pkt) => {
-                                    shard_packets.inc();
-                                    probe.process_packet(t, &pkt);
-                                }
-                                ShardMsg::Cols(c) => {
-                                    shard_packets.add(c.len() as u64);
-                                    probe.process_cols(&c, 0, c.len());
-                                }
-                                ShardMsg::Sweep(t) => probe.sweep_now(t),
-                                ShardMsg::Checkpoint(tx) => {
-                                    let _ = tx.send(probe.export_state());
-                                }
-                                ShardMsg::Restore(s) => {
-                                    probe.import_state(*s).expect("restore checksummed checkpoint state");
-                                }
-                            }
-                        }
-                        let packets = probe.packets;
-                        let parse_errors = probe.parse_errors;
-                        let (flows, dns) = probe.finish();
-                        ShardOutput { flows, dns, packets, parse_errors }
-                    })
-                    .expect("spawn probe shard");
-                workers.push(handle);
-            }
-            Mode::Threaded { senders, workers }
-        };
-        ShardedProbe { mode, sweep_interval: cfg.sweep_interval, last_sweep: SimTime::ZERO, packets: 0 }
+        let probes = (0..resolve_workers(shards))
+            .map(|shard| {
+                let mut probe = Probe::new(cfg);
+                if let Some(f) = make_sink.as_mut() {
+                    probe.set_flow_sink(f(shard));
+                }
+                probe
+            })
+            .collect();
+        ShardedProbe { probes, sweep_interval: cfg.sweep_interval, last_sweep: SimTime::ZERO, packets: 0 }
     }
 
-    /// Number of shards actually running.
+    /// Number of partitions.
     pub fn shards(&self) -> usize {
-        match &self.mode {
-            Mode::Single(_) => 1,
-            Mode::Threaded { senders, .. } => senders.len(),
-        }
+        self.probes.len()
     }
 
     /// Observe one packet. Must be called in global time order, like
     /// [`Probe::observe`].
     pub fn observe(&mut self, t: SimTime, pkt: &Packet) {
         self.packets += 1;
-        match &mut self.mode {
-            Mode::Single(probe) => probe.observe(t, pkt),
-            Mode::Threaded { senders, .. } => {
-                let shard = shard_of(pkt.ip.src, pkt.ip.dst, senders.len());
-                senders[shard].send(ShardMsg::Packet(t, pkt.clone())).expect("probe shard alive");
-                if t - self.last_sweep >= self.sweep_interval {
-                    for tx in senders.iter() {
-                        tx.send(ShardMsg::Sweep(t)).expect("probe shard alive");
-                    }
-                    self.last_sweep = t;
-                }
-            }
+        let shard = shard_of(pkt.ip.src, pkt.ip.dst, self.probes.len());
+        self.probes[shard].process_packet(t, pkt);
+        if t - self.last_sweep >= self.sweep_interval {
+            self.sweep_now(t);
         }
     }
 
     /// Observe time-sorted columnar rows `[start, end)` of `cols` (one
     /// merge-drain span). Equivalent to per-packet
     /// [`observe`](Self::observe): a span that straddles one or more
-    /// sweep moments is split at each boundary, so the sweep broadcast
-    /// lands at exactly the single-probe moment — after the first row
-    /// at or past the boundary, at its timestamp. Each sweep-free
-    /// piece is routed in same-host-pair sub-runs, one channel send
-    /// per sub-run.
+    /// sweep moments is split at each boundary, so the sweep lands at
+    /// exactly the single-probe moment — after the first row at or
+    /// past the boundary, at its timestamp. Each sweep-free piece is
+    /// routed in same-host-pair sub-ranges, with no copy.
     pub fn observe_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
-        if start >= end {
-            return;
+        self.packets += end.saturating_sub(start) as u64;
+        let mut i = start;
+        while i < end {
+            let boundary = self.last_sweep + self.sweep_interval;
+            let j = cols.ts[i..end].partition_point(|&t| t < boundary) + i;
+            if j == end {
+                self.route_cols(cols, i, end);
+                return;
+            }
+            self.route_cols(cols, i, j + 1);
+            self.sweep_now(cols.ts[j]);
+            i = j + 1;
         }
-        self.packets += (end - start) as u64;
-        match &mut self.mode {
-            Mode::Single(probe) => probe.observe_cols(cols, start, end),
-            Mode::Threaded { senders, .. } => {
-                let mut i = start;
-                while i < end {
-                    let boundary = self.last_sweep + self.sweep_interval;
-                    let j = cols.ts[i..end].partition_point(|&t| t < boundary) + i;
-                    if j == end {
-                        dispatch_cols(senders, cols, i, end);
-                        return;
-                    }
-                    dispatch_cols(senders, cols, i, j + 1);
-                    for tx in senders.iter() {
-                        tx.send(ShardMsg::Sweep(cols.ts[j])).expect("probe shard alive");
-                    }
-                    self.last_sweep = cols.ts[j];
-                    i = j + 1;
-                }
+    }
+
+    /// Hand sweep-free rows `[start, end)` (non-empty) to the
+    /// partitions in same-host-pair sub-ranges: the partition hash is
+    /// recomputed only when the address pair changes (a span
+    /// alternates between at most a couple of pairs).
+    fn route_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
+        let n = self.probes.len();
+        let mut seg = start;
+        let (mut last_src, mut last_dst) = (cols.src[start], cols.dst[start]);
+        let mut cur_shard = shard_of(last_src, last_dst, n);
+        for i in start + 1..end {
+            let (s, d) = (cols.src[i], cols.dst[i]);
+            if (s == last_src && d == last_dst) || (s == last_dst && d == last_src) {
+                continue;
+            }
+            (last_src, last_dst) = (s, d);
+            let shard = shard_of(s, d, n);
+            if shard != cur_shard {
+                self.probes[cur_shard].process_cols(cols, seg, i);
+                seg = i;
+                cur_shard = shard;
             }
         }
+        self.probes[cur_shard].process_cols(cols, seg, end);
+    }
+
+    /// Sweep every partition at `t` and restart the sweep clock.
+    fn sweep_now(&mut self, t: SimTime) {
+        for probe in &mut self.probes {
+            probe.sweep_now(t);
+        }
+        self.last_sweep = t;
     }
 
     /// Snapshot the complete probe state for a campaign checkpoint:
-    /// every shard exports (after draining all packets dispatched so
-    /// far — FIFO channels guarantee ordering) and the per-shard
-    /// states merge into one unified, shard-count-independent
-    /// [`ProbeState`]. Like [`Probe::export_state`], this drains the
-    /// DNS logs into the returned state but leaves live flows and
-    /// pending DNS tracking undisturbed — the capture continues.
+    /// every partition exports and the states merge into one unified,
+    /// shard-count-independent [`ProbeState`]. Like
+    /// [`Probe::export_state`], this drains the DNS logs into the
+    /// returned state but leaves live flows and pending DNS tracking
+    /// undisturbed — the capture continues.
     pub fn export_state(&mut self) -> ProbeState {
-        match &mut self.mode {
-            Mode::Single(probe) => probe.export_state(),
-            Mode::Threaded { senders, .. } => {
-                let mut pending = Vec::with_capacity(senders.len());
-                for tx in senders.iter() {
-                    let (rtx, rrx) = sync_channel(1);
-                    tx.send(ShardMsg::Checkpoint(rtx)).expect("probe shard alive");
-                    pending.push(rrx);
-                }
-                ProbeState::merge(pending.into_iter().map(|rx| rx.recv().expect("probe shard responds")).collect())
-            }
-        }
+        ProbeState::merge(self.probes.iter_mut().map(Probe::export_state).collect())
     }
 
-    /// Restore checkpointed state into a fresh sharded probe (campaign
-    /// resume). Entries are redistributed with the same host-pair hash
-    /// the dispatcher routes packets with, so every flow and pending
-    /// DNS transaction lands on the shard that will see its future
-    /// packets — at *any* shard count, not just the one that exported.
-    /// The dispatcher's sweep clock is restored too: the next sweep
-    /// broadcast fires exactly when the uninterrupted run's would.
-    pub fn import_state(&mut self, state: ProbeState) -> Result<(), crate::checkpoint::CheckpointError> {
+    /// Restore checkpointed state into a fresh partitioned probe
+    /// (campaign resume). Entries are redistributed with the same
+    /// host-pair hash the dispatcher routes packets with, so every flow
+    /// and pending DNS transaction lands on the partition that will see
+    /// its future packets — at *any* shard count, not just the one that
+    /// exported. The dispatcher's sweep clock is restored too: the next
+    /// sweep fires exactly when the uninterrupted run's would.
+    pub fn import_state(&mut self, state: ProbeState) -> Result<(), CheckpointError> {
         self.last_sweep = state.last_sweep;
         self.packets = state.packets;
-        match &mut self.mode {
-            Mode::Single(probe) => probe.import_state(state),
-            Mode::Threaded { senders, .. } => {
-                let n = senders.len();
-                let mut shards: Vec<ProbeState> = (0..n).map(|_| ProbeState::empty()).collect();
-                for s in &mut shards {
-                    s.last_sweep = state.last_sweep;
-                }
-                for f in state.flows {
-                    shards[shard_of(f.src, f.dst, n)].flows.push(f);
-                }
-                for p in state.pending_dns {
-                    shards[shard_of(p.client, p.resolver, n)].pending_dns.push(p);
-                }
-                // DNS-log routing uses the *anonymized* client — fine:
-                // CryptoPan is 1:1, so tied records (which share a raw
-                // client/resolver pair) still land on one shard in
-                // their original observation order.
-                for d in state.dns_log {
-                    let shard = shard_of(d.client, d.resolver, n);
-                    shards[shard].dns_log.push(d);
-                }
-                // Global counters are not meaningfully divisible;
-                // giving them whole to shard 0 keeps their sums right.
-                shards[0].packets = state.packets;
-                shards[0].parse_errors = state.parse_errors;
-                shards[0].transit_packets = state.transit_packets;
-                for (tx, s) in senders.iter().zip(shards) {
-                    tx.send(ShardMsg::Restore(Box::new(s))).expect("probe shard alive");
-                }
-                Ok(())
-            }
+        let n = self.probes.len();
+        let mut parts: Vec<ProbeState> = (0..n).map(|_| ProbeState::empty()).collect();
+        for s in &mut parts {
+            s.last_sweep = state.last_sweep;
         }
+        for f in state.flows {
+            parts[shard_of(f.src, f.dst, n)].flows.push(f);
+        }
+        for p in state.pending_dns {
+            parts[shard_of(p.client, p.resolver, n)].pending_dns.push(p);
+        }
+        // DNS-log routing uses the *anonymized* client — fine:
+        // CryptoPan is 1:1, so tied records (which share a raw
+        // client/resolver pair) still land on one partition in their
+        // original observation order.
+        for d in state.dns_log {
+            parts[shard_of(d.client, d.resolver, n)].dns_log.push(d);
+        }
+        // Global counters are not meaningfully divisible; giving them
+        // whole to partition 0 keeps their sums right.
+        parts[0].packets = state.packets;
+        parts[0].parse_errors = state.parse_errors;
+        parts[0].transit_packets = state.transit_packets;
+        for (probe, s) in self.probes.iter_mut().zip(parts) {
+            probe.import_state(s)?;
+        }
+        Ok(())
     }
 
-    /// Finish the capture: flush every shard and merge the outputs
+    /// Finish the capture: flush every partition and merge the outputs
     /// into the canonical single-probe order.
     pub fn finish(self) -> (Vec<FlowRecord>, Vec<DnsRecord>) {
-        match self.mode {
-            Mode::Single(probe) => probe.finish(),
-            Mode::Threaded { senders, workers } => {
-                drop(senders); // close channels; workers drain and flush
-                let mut flows = Vec::new();
-                let mut dns = Vec::new();
-                for handle in workers {
-                    let out = handle.join().expect("probe shard finished");
-                    debug_assert_eq!(out.parse_errors, 0, "shards receive pre-parsed packets");
-                    let _ = out.packets;
-                    flows.extend(out.flows);
-                    dns.extend(out.dns);
-                }
-                // Stable sorts + total/tie-safe keys ⇒ identical bytes
-                // to the single probe (see module docs).
-                flows.sort_by_key(flow_sort_key);
-                dns.sort_by(dns_cmp);
+        let (mut flows, mut dns) = self
+            .probes
+            .into_iter()
+            .map(Probe::finish)
+            .reduce(|(mut flows, mut dns), (f, d)| {
+                flows.extend(f);
+                dns.extend(d);
                 (flows, dns)
-            }
-        }
+            })
+            .expect("at least one partition");
+        // Stable sorts + total/tie-safe keys ⇒ identical bytes to the
+        // single probe (see module docs).
+        flows.sort_by_key(flow_sort_key);
+        dns.sort_by(dns_cmp);
+        (flows, dns)
     }
 }
 
-/// Route a packet to a shard by its unordered address pair.
+/// Route a packet to a partition by its unordered address pair.
 fn shard_of(src: Ipv4Addr, dst: Ipv4Addr, shards: usize) -> usize {
     let pair = if src <= dst { (src, dst) } else { (dst, src) };
     (fx_hash_one(&pair) % shards as u64) as usize
-}
-
-/// Ship sweep-free columnar rows `[start, end)` to the shards in
-/// same-host-pair sub-runs: the shard hash is recomputed only when the
-/// address pair changes (a run alternates between at most a couple of
-/// pairs). Sub-runs are carved out with [`PacketColumns::extract`],
-/// which copies only the scalar columns and shares the payload blocks
-/// zero-copy.
-fn dispatch_cols(senders: &[SyncSender<ShardMsg>], cols: &PacketColumns, start: usize, end: usize) {
-    let n = senders.len();
-    let mut seg = start;
-    let (mut last_src, mut last_dst) = (cols.src[start], cols.dst[start]);
-    let mut cur_shard = shard_of(last_src, last_dst, n);
-    for i in start + 1..end {
-        let (s, d) = (cols.src[i], cols.dst[i]);
-        if (s == last_src && d == last_dst) || (s == last_dst && d == last_src) {
-            continue;
-        }
-        (last_src, last_dst) = (s, d);
-        let shard = shard_of(s, d, n);
-        if shard != cur_shard {
-            senders[cur_shard].send(ShardMsg::Cols(Box::new(cols.extract(seg, i)))).expect("probe shard alive");
-            seg = i;
-            cur_shard = shard;
-        }
-    }
-    senders[cur_shard].send(ShardMsg::Cols(Box::new(cols.extract(seg, end)))).expect("probe shard alive");
 }
 
 #[cfg(test)]
@@ -506,13 +385,14 @@ mod tests {
 
     #[test]
     fn sink_streams_same_flows_as_batch_finish() {
-        use std::sync::{Arc, Mutex};
+        use std::cell::RefCell;
+        use std::rc::Rc;
         let (batch_flows, batch_dns) = run_with_shards(1);
         for shards in [1usize, 4] {
-            let collected: Arc<Mutex<Vec<FlowRecord>>> = Arc::new(Mutex::new(Vec::new()));
+            let collected: Rc<RefCell<Vec<FlowRecord>>> = Rc::default();
             let mut probe = ShardedProbe::with_flow_sink(cfg(), shards, |_shard| {
-                let collected = Arc::clone(&collected);
-                Box::new(move |f| collected.lock().unwrap().push(f)) as FlowSink
+                let collected = Rc::clone(&collected);
+                Box::new(move |f| collected.borrow_mut().push(f)) as FlowSink
             });
             for (time, pkt) in stream() {
                 probe.observe(time, &pkt);
@@ -520,11 +400,39 @@ mod tests {
             let (rest, dns) = probe.finish();
             assert!(rest.is_empty(), "sink mode returns no batch flows");
             assert_eq!(dns, batch_dns, "dns path unaffected by the sink");
-            let mut streamed = Arc::try_unwrap(collected).unwrap().into_inner().unwrap();
+            let mut streamed = collected.take();
             // eviction order is not canonical; the sort key recovers it
             streamed.sort_by_key(flow_sort_key);
             assert_eq!(streamed, batch_flows, "shards={shards}");
         }
+    }
+
+    thread_local! {
+        static ON_CALLER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Every partition's sink runs on the thread that drives the probe:
+    /// a flag set only in the caller's thread-local storage is visible
+    /// from inside each sink call.
+    #[test]
+    fn flow_sinks_run_on_the_callers_thread() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        ON_CALLER.with(|c| c.set(true));
+        let calls: Rc<Cell<usize>> = Rc::default();
+        let mut probe = ShardedProbe::with_flow_sink(cfg(), 4, |_shard| {
+            let calls = Rc::clone(&calls);
+            Box::new(move |_| {
+                assert!(ON_CALLER.with(Cell::get), "sink ran off the caller's thread");
+                calls.set(calls.get() + 1);
+            }) as FlowSink
+        });
+        let cols = stream_columns();
+        probe.observe_cols(&cols, 0, cols.len());
+        let evicted_before_finish = calls.get();
+        probe.finish();
+        assert!(evicted_before_finish > 0, "the sweep evicts flows through the sinks mid-capture");
+        assert_eq!(calls.get(), run_with_shards(1).0.len());
     }
 
     /// Kill-and-resume at an arbitrary mid-stream point must be

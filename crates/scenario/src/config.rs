@@ -25,14 +25,13 @@ pub struct ScenarioConfig {
     /// time (see DESIGN.md "Parallelism & determinism").
     pub threads: usize,
     /// Probe shards: the span-port stream is partitioned by host pair
-    /// across this many probe worker threads. `1` = the classic
-    /// inline probe, `0` = one per core. Output is byte-identical at
-    /// any shard count.
+    /// into this many probe partitions, all driven on the calling
+    /// thread. `1` = one probe, `0` = one per core. Output is
+    /// byte-identical at any shard count.
     pub probe_shards: usize,
     /// The fast path (default): plan a cohort of pending flows' RNG
-    /// draws serially, emit their packet runs RNG-free (in parallel
-    /// when `threads > 1`), and hand the probe columnar merge-drain
-    /// spans. `false` drives the oracle the fast path is pinned
+    /// draws serially, emit their packet runs RNG-free into one shared
+    /// payload block, and hand the probe columnar merge-drain spans. `false` drives the oracle the fast path is pinned
     /// byte-identical against: flows synthesized one at a time, the
     /// probe fed one packet at a time (DESIGN.md §12, §15).
     pub packet_batching: bool,

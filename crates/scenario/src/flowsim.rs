@@ -340,8 +340,8 @@ impl NetModel {
     /// exactly the order the one-pass synthesis did, and record every
     /// drawn value. Serial per cohort (the stream is shared across
     /// flows in intent-pop order); the recorded plan makes
-    /// [`emit_flow`](Self::emit_flow) parent-RNG-free so cohort
-    /// emission can run out-of-order or on worker threads.
+    /// [`emit_flow`](Self::emit_flow) parent-RNG-free, so emission
+    /// order cannot perturb any other flow's draws.
     ///
     /// Delay-term draws go through [`satwatch_satcom::DelayPlanner`],
     /// which appends each sample to `delay_col` — the cohort's shared
@@ -520,11 +520,11 @@ impl NetModel {
     /// Emission pass: expand one planned flow into packet columns.
     /// Touches no RNG except the plan's private "grtt" fork — every
     /// parent-stream value is read back from the plan, so cohort
-    /// emission order (or thread) cannot perturb any other flow.
+    /// emission order cannot perturb any other flow.
     ///
-    /// Freezes the arena into the run's own payload block. The serial
-    /// cohort loop uses [`emit_flow_open`](Self::emit_flow_open)
-    /// instead and freezes once per cohort.
+    /// Freezes the arena into the run's own payload block. The cohort
+    /// loop uses [`emit_flow_open`](Self::emit_flow_open) instead and
+    /// freezes once per cohort.
     pub fn emit_flow(
         &self,
         intent: &FlowIntent,

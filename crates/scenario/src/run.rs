@@ -303,16 +303,17 @@ pub fn run_with_tap(cfg: ScenarioConfig, mut tap: impl FnMut(SimTime, &Packet)) 
 /// §10) — while the full record vector is never materialized.
 pub fn run_streaming(cfg: ScenarioConfig) -> ColumnarDataset {
     use satwatch_analytics::FrameBuilder;
-    use std::sync::{Arc, Mutex};
+    use std::cell::RefCell;
+    use std::rc::Rc;
     let t_setup = satwatch_telemetry::Span::over(metrics().setup_us);
     let sim = setup(cfg);
     // the operator's enrichment is a pure function of the population,
     // so the builder can resolve columns while packets still flow
     let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
-    let builder = Arc::new(Mutex::new(FrameBuilder::new(enrichment.clone())));
+    let builder = Rc::new(RefCell::new(FrameBuilder::new(enrichment.clone())));
     let mut probe = ShardedProbe::with_flow_sink(sim.probe_cfg, cfg.probe_shards, |_shard| {
-        let builder = Arc::clone(&builder);
-        Box::new(move |f: FlowRecord| builder.lock().unwrap().push(&f)) as satwatch_monitor::FlowSink
+        let builder = Rc::clone(&builder);
+        Box::new(move |f: FlowRecord| builder.borrow_mut().push(&f)) as satwatch_monitor::FlowSink
     });
     drop(t_setup);
     drive(cfg, &sim, &mut probe, None);
@@ -321,7 +322,7 @@ pub fn run_streaming(cfg: ScenarioConfig) -> ColumnarDataset {
     let (rest, dns) = probe.finish();
     debug_assert!(rest.is_empty(), "sink mode leaves no batch flows");
     drop(rest);
-    let builder = Arc::try_unwrap(builder).ok().expect("all shard sinks dropped").into_inner().unwrap();
+    let builder = Rc::try_unwrap(builder).ok().expect("all shard sinks dropped").into_inner();
     let frame = builder.seal();
     ColumnarDataset { frame, dns, enrichment, packets }
 }
@@ -400,8 +401,7 @@ fn drive_day(
             // consecutive pending intents, run the *planning* pass
             // serially over the shared flow RNG (same stream, same
             // draw order per flow as the oracle's `simulate_flow`), then expand
-            // every plan to packets RNG-free — serially into recycled
-            // buffers, or via `ordered_par_map` when `threads > 1`.
+            // every plan to packets RNG-free into recycled buffers.
             // Runs are pushed in intent-pop order, so run-id
             // assignment — the merge tie-break — is unchanged; each
             // run is clamped to its intent time, so deferring the
@@ -412,14 +412,14 @@ fn drive_day(
             // (DESIGN.md §8) and no packet exists strictly before
             // t = 0. With no intent left (or the next one past the
             // horizon) the bound is the horizon itself.
-            // Serial cohorts stay small enough that a cohort's shared
-            // payload block fits the arena's 1 MiB capacity hint —
-            // larger cohorts pay geometric-growth memcpy per block.
-            let cohort_cap = if cfg.threads == 1 { 64 } else { 256 };
+            // Cohorts stay small enough that a cohort's shared payload
+            // block fits the arena's 1 MiB capacity hint — larger
+            // cohorts pay geometric-growth memcpy per block.
+            const COHORT_CAP: usize = 64;
             delay_cache.begin_day(day);
             let mut cohort: Vec<(SimTime, satwatch_traffic::FlowIntent, crate::flowsim::FlowPlan)> =
-                Vec::with_capacity(cohort_cap);
-            let mut cohort_runs: Vec<PacketColumns> = Vec::with_capacity(cohort_cap);
+                Vec::with_capacity(COHORT_CAP);
+            let mut cohort_runs: Vec<PacketColumns> = Vec::with_capacity(COHORT_CAP);
             let mut delay_col: Vec<satwatch_simcore::SimDuration> = Vec::new();
             let (mut synth_ns, mut drain_ns) = (0u64, 0u64);
             let (mut plan_ns, mut emit_ns) = (0u64, 0u64);
@@ -471,7 +471,7 @@ fn drive_day(
                 // oracle consumes it.
                 cohort.clear();
                 delay_col.clear();
-                while cohort.len() < cohort_cap {
+                while cohort.len() < COHORT_CAP {
                     match intents.peek_time() {
                         Some(ti) if ti <= horizon => {
                             let (t, intent) = intents.pop().expect("peeked intent vanished");
@@ -497,39 +497,23 @@ fn drive_day(
                     plan_ns += t0.elapsed().as_nanos() as u64;
                 }
                 let t_emit = timed.then(Instant::now);
-                // Emission pass: parent-RNG-free, so order (and
-                // thread) is free; results are pushed in intent order.
-                if cfg.threads == 1 {
-                    // All of the cohort's payload bytes accumulate in
-                    // one arena block, frozen once below: offsets are
-                    // absolute within the block, so every run shares
-                    // the same `Bytes` — one allocation per cohort
-                    // instead of one per flow, identical resolved
-                    // payloads (see `emit_flow_open`).
-                    for (t, intent, plan) in &cohort {
-                        let customer = &population.customers[intent.customer_index];
-                        let mut run = merge.take_buffer();
-                        model.emit_flow_open(intent, customer, plan, &delay_col, arena, &mut run);
-                        run.clamp_and_sort(*t, scratch);
-                        cohort_runs.push(run);
-                    }
-                    let block = bytes::Bytes::from(arena.take());
-                    for mut run in cohort_runs.drain(..) {
-                        run.payload = block.clone();
-                        merge.push(run);
-                    }
-                } else {
-                    let runs = ordered_par_map(cfg.threads, &cohort, |_, (t, intent, plan)| {
-                        let customer = &population.customers[intent.customer_index];
-                        let mut arena = satwatch_simcore::PayloadArena::new();
-                        let mut run = PacketColumns::default();
-                        model.emit_flow(intent, customer, plan, &delay_col, &mut arena, &mut run);
-                        run.clamp_and_sort(*t, &mut SortScratch::default());
-                        run
-                    });
-                    for run in runs {
-                        merge.push(run);
-                    }
+                // Emission pass: all of the cohort's payload bytes
+                // accumulate in one arena block, frozen once below:
+                // offsets are absolute within the block, so every run
+                // shares the same `Bytes` — one allocation per cohort
+                // instead of one per flow, identical resolved payloads
+                // (see `emit_flow_open`).
+                for (t, intent, plan) in &cohort {
+                    let customer = &population.customers[intent.customer_index];
+                    let mut run = merge.take_buffer();
+                    model.emit_flow_open(intent, customer, plan, &delay_col, arena, &mut run);
+                    run.clamp_and_sort(*t, scratch);
+                    cohort_runs.push(run);
+                }
+                let block = bytes::Bytes::from(arena.take());
+                for mut run in cohort_runs.drain(..) {
+                    run.payload = block.clone();
+                    merge.push(run);
                 }
                 if let Some(t0) = t_emit {
                     emit_ns += t0.elapsed().as_nanos() as u64;

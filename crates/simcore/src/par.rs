@@ -39,7 +39,7 @@ pub fn resolve_workers(requested: usize) -> usize {
     }
 }
 
-/// Resolve a `--threads`/`--shards` knob and flag oversubscription:
+/// Resolve a `--threads`-style knob and flag oversubscription:
 /// when the request exceeds the machine's cores, log a warning and
 /// raise the `par_threads_oversubscribed` gauge to the overshoot
 /// (requested − cores). `label` names the knob in the warning. The

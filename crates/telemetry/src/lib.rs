@@ -44,7 +44,7 @@ pub use instruments::{
     bucket_lower, bucket_of, bucket_upper, enabled, set_enabled, Counter, Gauge, Histogram, BUCKETS, SHARDS,
 };
 pub use registry::{labelled, registry, Instrument, Registry};
-pub use snapshot::{HistogramSnapshot, Snapshot, Value};
+pub use snapshot::{json_string, HistogramSnapshot, Snapshot, Value};
 pub use span::{span, Span};
 pub use ticker::{tick_line, Ticker};
 

@@ -216,7 +216,7 @@ impl Snapshot {
 }
 
 /// Append `v` as a JSON string literal (quotes + escapes).
-fn json_string(out: &mut String, v: &str) {
+pub fn json_string(out: &mut String, v: &str) {
     out.push('"');
     for c in v.chars() {
         match c {
